@@ -12,14 +12,28 @@ around any cell-interior query, so the union is disjoint).
 Both steps run on the array-backed store: mirroring a quadrant diagram is a
 ``np.flip`` of its id grid (the table is orientation-independent), and the
 union is computed once per *distinct combination* of quadrant ids — the 2^d
-flat id arrays are stacked and deduplicated with ``np.unique(axis=0)``, so
-the tuple merge runs ``O(#combinations)`` times instead of once per cell.
+flat id arrays are stacked and deduplicated row-wise
+(:func:`~repro.diagram.pipeline.unique_rows`, lexicographic order).
+
+Different combinations can still yield the same union (a point crossing
+from one quadrant into its neighbour stays in the result), so the union
+table is deduplicated by an array kernel (:func:`_union_table`) rather
+than by merging tuples per combination.  Because the parts are disjoint,
+a combination's point set is keyed by an *additive set hash* — the sum of
+its parts' hashes, each the sum of one random 64-bit key per point — which
+costs O(#combinations) memory.  Combinations sharing a hash are then
+verified exactly (equal sizes and equal sorted point lists), ids are
+assigned by first occurrence in combination order, and result tuples are
+materialized once per distinct union, in blocks of :data:`_BLOCK`
+combinations so transient arrays stay small whatever the dataset size.
 
 Construction runs through the shared
 :class:`~repro.diagram.pipeline.BuildContext`: the ``row_scan`` phase is
 the 2^d quadrant sub-builds (each threading the shared meter — and the
 ``build_options``, so a parallel executor shards every sub-build's scan),
-the ``intern`` phase is the combination merge.
+the ``intern`` phase is the combination union.  The report names the
+executor the sub-builds ran (the union kernel is the same under every
+executor).
 """
 
 from __future__ import annotations
@@ -27,13 +41,18 @@ from __future__ import annotations
 import dataclasses
 import inspect
 from collections.abc import Callable, Sequence
-from heapq import merge as heap_merge
+from itertools import chain
 
 import numpy as np
 
 from repro.diagram.base import SkylineDiagram
-from repro.diagram.pipeline import BuildContext, BuildOptions, Interner
-from repro.diagram.store import ResultStore
+from repro.diagram.pipeline import (
+    BuildContext,
+    BuildOptions,
+    split_tuples,
+    unique_rows,
+)
+from repro.diagram.store import ConsForestTable, ResultStore, _multi_arange
 from repro.errors import BudgetExceededError, DimensionalityError
 from repro.geometry.dominance import reflect_points
 from repro.geometry.grid import Grid
@@ -79,6 +98,164 @@ def _call(
         advance=cells - charged, distinct=diagram.store.distinct_count
     )
     return diagram
+
+
+#: Combinations per verification/materialization block of the union
+#: kernel: bounds its transient memory to a few MiB for any dataset size.
+_BLOCK = 1 << 12
+
+
+def _point_keys(n: int) -> np.ndarray:
+    """One fixed pseudo-random 64-bit key per point id (the set hash)."""
+    return np.random.default_rng(0x5EED).integers(
+        0, np.iinfo(np.uint64).max, size=n, dtype=np.uint64, endpoint=True
+    )
+
+
+def _table_csr(table) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(sizes, points)`` of an interned table, without new tuples.
+
+    A lazy :class:`~repro.diagram.store.ConsForestTable` (what the
+    vectorized quadrant engine emits) is unrolled along its parent chains
+    one level per pass, so each entry's points come out contiguous but
+    not sorted — all the union kernel needs.  Other tables are read
+    entry by entry.
+    """
+    if type(table) is not ConsForestTable:
+        entries = table if type(table) is list else table.materialize()
+        sizes = np.fromiter(map(len, entries), dtype=np.int64,
+                            count=len(entries))
+        points = np.fromiter(chain.from_iterable(entries), dtype=np.int64,
+                             count=int(sizes.sum()))
+        return sizes, points
+    group_sizes, group_points = _table_csr(table._groups)
+    group_starts = np.cumsum(group_sizes) - group_sizes
+    rep = np.asarray(table._rep, dtype=np.int64)
+    par = np.asarray(table._par, dtype=np.int64)
+    # Node k >= 1 holds group rep[k - 1] plus everything of node
+    # par[k - 1] + 1: walk every chain at once, one ancestor per pass.
+    sizes = np.zeros(rep.size + 1, dtype=np.int64)
+    passes = []
+    node = np.arange(1, rep.size + 1)
+    link = node - 1
+    while link.size:
+        group = rep[link]
+        sizes[node] += group_sizes[group]
+        passes.append((node, group))
+        link = par[link]
+        keep = link >= 0
+        node, link = node[keep], link[keep]
+    cursor = np.cumsum(sizes) - sizes
+    dest, src, length = ([np.empty(0, np.int64)] for _ in range(3))
+    for node, group in passes:
+        dest.append(cursor[node])
+        src.append(group_starts[group])
+        length.append(group_sizes[group])
+        cursor[node] += length[-1]
+    dest, src, length = map(np.concatenate, (dest, src, length))
+    points = np.empty(int(sizes.sum()), dtype=np.int64)
+    while dest.size:  # one element of every group per pass
+        points[dest] = group_points[src]
+        more = length > 1
+        dest, src, length = dest[more] + 1, src[more] + 1, length[more] - 1
+    return sizes, points
+
+
+def _union_table(
+    tables: Sequence,
+    combos: np.ndarray,
+    n: int,
+    checkpoint: Callable[..., None],
+) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """Union ids and interned table for the quadrant-id ``combos``.
+
+    ``combos`` holds one row of quadrant table ids per distinct
+    combination, in lexicographic order; ``tables[q]`` is quadrant
+    ``q``'s (possibly lazy) table.  Returns ``(combo_ids, table)`` with
+    ids assigned by first occurrence in combination order — the
+    numbering that merging and interning the unions one combination at
+    a time produces.  ``checkpoint(distinct=...)`` runs once per
+    materialized block.
+    """
+    csr = [_table_csr(t) for t in tables]
+    # Flat entry ids across quadrants; the extra last entry is empty.
+    sizes = np.concatenate([c[0] for c in csr] + [np.zeros(1, np.int64)])
+    points = np.concatenate([c[1] for c in csr])
+    del csr
+    empty = sizes.size - 1
+    starts = np.cumsum(sizes) - sizes
+    prefix = np.zeros(points.size + 1, dtype=np.uint64)
+    np.cumsum(_point_keys(n)[points], out=prefix[1:])
+    entry_hash = prefix[starts + sizes] - prefix[starts]
+    del prefix
+    entry_base = np.cumsum([0] + [len(t) for t in tables[:-1]])
+    # Disjoint parts: a union's set hash and size are sums over its parts.
+    combo_hash = np.zeros(len(combos), dtype=np.uint64)
+    combo_size = np.zeros(len(combos), dtype=np.int64)
+    for q, base in enumerate(entry_base.tolist()):
+        column = combos[:, q] + base
+        combo_hash += entry_hash[column]
+        combo_size += sizes[column]
+    _, first, group = np.unique(
+        combo_hash, return_index=True, return_inverse=True
+    )
+    rep = first[group.reshape(-1)]
+    del combo_hash, first, group
+
+    def sorted_unions(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(row, point)`` pairs of each row's union, sorted per row.
+
+        ``entries`` holds one row of flat table-entry ids per union.
+        """
+        entry_sizes = sizes[entries].ravel()
+        rows = np.repeat(
+            np.repeat(np.arange(entries.shape[0]), entries.shape[1]),
+            entry_sizes,
+        )
+        pts = points[_multi_arange(starts[entries].ravel(), entry_sizes)]
+        shift = rows * n
+        return rows, np.sort(shift + pts) - shift
+
+    # Verify every combination against the first one sharing its hash:
+    # same size and the same sorted points, or the hashes collided.
+    # Parts the two share cancel out, so only the differing ones are
+    # compared (parts are disjoint within each union).
+    collided = []
+    dup = np.flatnonzero(rep != np.arange(rep.size))
+    for lo in range(0, dup.size, _BLOCK):
+        ks = dup[lo : lo + _BLOCK]
+        same = combo_size[ks] == combo_size[rep[ks]]
+        collided.extend(ks[~same].tolist())
+        ks = ks[same]
+        mine = combos[ks] + entry_base
+        theirs = combos[rep[ks]] + entry_base
+        shared = mine == theirs
+        mine[shared] = theirs[shared] = empty
+        rows, mine_points = sorted_unions(mine)
+        differ = mine_points != sorted_unions(theirs)[1]
+        collided.extend(ks[np.unique(rows[differ])].tolist())
+    if collided:
+        # Different unions behind one 64-bit hash: number those exactly,
+        # in combination order so each keeps its first occurrence.
+        seen: dict[tuple[int, ...], int] = {}
+        for k in sorted(collided):
+            union = sorted_unions(combos[[k]] + entry_base)[1]
+            rep[k] = seen.setdefault(tuple(union.tolist()), k)
+    # rep[k] <= k is k's first occurrence: number those in order.
+    is_first = rep == np.arange(rep.size)
+    firsts = np.flatnonzero(is_first)
+    combo_ids = (np.cumsum(is_first, dtype=np.int32) - 1)[rep]
+    del rep, is_first
+    # Materialize one tuple per distinct union, from its first combination
+    # (the point ints are shared objects, as tuple merging would share).
+    ints = np.arange(n).astype(object)
+    table: list[tuple[int, ...]] = []
+    for lo in range(0, firsts.size, _BLOCK):
+        ks = firsts[lo : lo + _BLOCK]
+        union = sorted_unions(combos[ks] + entry_base)[1]
+        table += split_tuples(ints[union].tolist(), combo_size[ks].tolist())
+        checkpoint(distinct=len(table))
+    return combo_ids, table
 
 
 def quadrant_diagram_for_mask(
@@ -181,30 +358,37 @@ def global_diagram(
         except BudgetExceededError as exc:
             exc.partial = None
             raise
-    ctx.report.algorithm = quadrant_diagrams[0].algorithm
+    algorithm_name = ctx.report.algorithm = quadrant_diagrams[0].algorithm
+    ran = {
+        (report.executor, report.workers)
+        for report in (
+            getattr(d, "build_report", None) for d in quadrant_diagrams
+        )
+        if report is not None
+    }
+    if len(ran) == 1:
+        # Report what the sub-builds ran (the union kernel is executor-free).
+        ctx.report.executor, ctx.report.workers = ran.pop()
     grid = quadrant_diagrams[0].grid
     ctx.count_rows(grid.shape[-1] * (1 << dim))
     with ctx.phase("intern"):
         # One column of per-cell ids per quadrant; identical id combinations
-        # yield identical unions, so merge once per distinct combination.
+        # yield identical unions, so the union kernel runs per combination.
         stacked = np.stack(
             [d.store.dense_ids().reshape(-1) for d in quadrant_diagrams],
             axis=1,
         )
-        combos, inverse = np.unique(stacked, axis=0, return_inverse=True)
-        tables = [d.store.table for d in quadrant_diagrams]
-        interner = Interner()
-        intern = interner.intern
-        combo_ids = np.empty(len(combos), dtype=np.int32)
-        for k, combo in enumerate(combos.tolist()):
-            # The quadrants partition the points around any cell-interior
-            # query, so the union is a merge of disjoint sorted tuples.
-            combo_ids[k] = intern(
-                tuple(heap_merge(*(t[q] for t, q in zip(tables, combo))))
-            )
-            if k % 1024 == 1023:
-                ctx.checkpoint(distinct=len(interner))
-        table = interner.table
+        first, inverse = unique_rows(stacked)
+        combos = stacked[first]
+        # Large inputs are dropped once used: peak memory is what limits
+        # the global diagram's size.
+        del stacked, first
+        tables = [d.store._table for d in quadrant_diagrams]
+        del quadrant_diagrams
+        combo_ids, table = _union_table(
+            tables, combos, len(dataset), ctx.checkpoint
+        )
+        del tables, combos
         ctx.checkpoint(distinct=len(table))
     with ctx.phase("assemble"):
         ids = combo_ids[inverse.reshape(-1)].reshape(grid.shape)
@@ -213,6 +397,6 @@ def global_diagram(
             grid,
             store,
             kind="global",
-            algorithm=quadrant_diagrams[0].algorithm,
+            algorithm=algorithm_name,
         )
     return ctx.finish(diagram)

@@ -61,15 +61,17 @@ The vectorized executor is a *capability marker* rather than a job
 runner: a constructor that implements a sparse array kernel declares
 ``vector_capable=True`` to its :class:`BuildContext` and, when the
 resolved executor is vectorized, runs that kernel in place of the
-per-cell scan.  Constructors without such a kernel (the dynamic subcell
-scan, the column-major high-dimensional builders) silently resolve
-``executor="vectorized"`` to the serial executor, and the
-:class:`BuildReport` records the executor that actually ran — honesty
-over aspiration.  Budget checkpoints for the vectorized engine run per
-*row block* (``chunk_rows`` rows, default :data:`VECTOR_BLOCK_ROWS`)
-instead of per row: coarser granularity is the documented price of
-taking the Python interpreter out of the inner loop, and the completed
-row suffix still ships as an exact partial on exhaustion.
+per-cell scan (the quadrant and dynamic scans have one; the global
+diagram reports what its quadrant sub-builds ran).  Constructors without
+such a kernel (the column-major high-dimensional builders, maintenance)
+silently resolve ``executor="vectorized"`` to the serial executor, and
+the :class:`BuildReport` records the executor that actually ran —
+honesty over aspiration.  Budget checkpoints for the vectorized engine
+run per *row block* (``chunk_rows`` rows, default
+:data:`VECTOR_BLOCK_ROWS`) instead of per row: coarser granularity is
+the documented price of taking the Python interpreter out of the inner
+loop, and the completed rows still ship as an exact partial on
+exhaustion.
 """
 
 from __future__ import annotations
@@ -79,6 +81,7 @@ import time
 from collections.abc import Callable, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -99,6 +102,8 @@ __all__ = [
     "VECTOR_BLOCK_ROWS",
     "VectorizedRowExecutor",
     "relabel_scan_order",
+    "split_tuples",
+    "unique_rows",
 ]
 
 PHASES = ("rank_space", "row_scan", "intern", "assemble")
@@ -120,11 +125,12 @@ class BuildOptions:
         ``"serial"`` (default), ``"process"`` or ``"vectorized"``.  Only
         the row-independent scanning constructions shard their
         ``row_scan`` phase, and only constructions with a sparse array
-        kernel honour ``"vectorized"``; every other builder (skyband
-        sweep, high-dimensional scan, maintenance, the dynamic subcell
-        scan) accepts the options for the phases/telemetry and runs
-        serially regardless — the attached ``BuildReport`` names the
-        executor that actually ran.
+        kernel (quadrant and dynamic scanning, and global through its
+        sub-builds) honour ``"vectorized"``; every other builder
+        (skyband sweep, high-dimensional scan, maintenance) accepts the
+        options for the phases/telemetry and runs serially regardless —
+        the attached ``BuildReport`` names the executor that actually
+        ran.
     workers:
         Process-pool size for the ``process`` executor (default: the CPU
         count).
@@ -536,6 +542,41 @@ def relabel_scan_order(
         relabeled = relabeled[::-1, ::-1]
     ordered_table = [table[int(used[k])] for k in order.tolist()]
     return np.ascontiguousarray(relabeled), ordered_table
+
+
+def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a 2-D integer array, in lexicographic order.
+
+    Returns ``(first, inverse)``: ``rows[first]`` are the distinct rows in
+    lexicographic order, each index the row's first occurrence, and
+    ``rows[first][inverse]`` equals ``rows``.  The same answer as
+    ``np.unique(rows, axis=0, return_index=True, return_inverse=True)``,
+    but sorted by a stable ``np.lexsort`` over the columns instead of
+    numpy's structured-row sort, which is several times slower.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    opens = np.empty(len(rows), dtype=bool)
+    opens[:1] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=opens[1:])
+    del ordered
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(opens) - 1
+    return order[opens], inverse
+
+
+def split_tuples(
+    values: list[int], sizes: Sequence[int]
+) -> list[tuple[int, ...]]:
+    """Cut ``values`` into consecutive tuples of the given ``sizes``.
+
+    How the array kernels turn a CSR run of result point ids into
+    interned table entries.
+    """
+    ends = list(accumulate(sizes))
+    return list(
+        map(tuple, map(values.__getitem__, map(slice, [0] + ends, ends)))
+    )
 
 
 def merge_chunk_tables(

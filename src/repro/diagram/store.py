@@ -1293,20 +1293,19 @@ class ResultStore:
         return set(self.table_view())
 
     def flip(self, axes: Sequence[int]) -> "ResultStore":
-        """A store with the id array mirrored along ``axes`` (shared table).
+        """A store with the id array mirrored along ``axes`` (same table).
 
         Mirroring cell ``c`` to ``extent - 1 - c`` on an axis is exactly the
         rank-space reflection used to reduce an arbitrary quadrant
         orientation to the first quadrant.
         """
         axes = tuple(axes)
-        if not axes:
-            return ResultStore(
-                self.shape, self._backend.copy(), list(self.table_view())
-            )
-        return ResultStore(
-            self.shape, self._backend.flip(axes), list(self.table_view())
-        )
+        backend = self._backend.flip(axes) if axes else self._backend.copy()
+        table = self._table
+        if isinstance(table, list):
+            table = list(table)
+        # A lazy table is never mutated (upgrading replaces it): share it.
+        return ResultStore(self.shape, backend, table)
 
     # ------------------------------------------------------------------
     # Equality

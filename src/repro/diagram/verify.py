@@ -46,8 +46,9 @@ dynamic bisectors, tied mapped distances) and cross-checks
 * the unified query runtime (``runtime:*``): planner-routed single and
   batch answers against from-scratch evaluation for every kind/mask/k,
   the degraded (no-diagram) tier, report/tier consistency of every
-  ``QueryAnswer``, and serial- vs chunked-built diagrams queried through
-  the planner,
+  ``QueryAnswer``, serial- vs chunked-built diagrams queried through
+  the planner, and serial- vs vectorized-built quadrant, global and
+  dynamic diagrams (same answers and byte-identical store fingerprints),
 * the composable query specs (``spec:*``): ``constrained`` and
   ``diversified`` kinds — per-mask boxes whose faces sit exactly on
   data coordinates (degenerate ``lo == hi`` included), constrained
@@ -1009,23 +1010,28 @@ def _runtime_checks(
         "vector = SkylineDatabase(points, "
         "build_options=BuildOptions(executor='vectorized'))\n"
         "assert serial.query_batch(queries, kind={kind!r}) == "
-        "vector.query_batch(queries, kind={kind!r})"
+        "vector.query_batch(queries, kind={kind!r})\n"
+        "assert serial.{kind}_diagram().store.fingerprint() == "
+        "vector.{kind}_diagram().store.fingerprint()"
     )
 
     def vectorized(kind: str) -> Check:
         def check(points: Points) -> tuple[object, object]:
             serial_db = SkylineDatabase(points)
             vector_db = SkylineDatabase(points, build_options=vector_options)
-            return (
-                serial_db.query_batch(queries, kind=kind),
-                vector_db.query_batch(queries, kind=kind),
-            )
+            sides = []
+            for db in (serial_db, vector_db):
+                store = getattr(db, f"{kind}_diagram")().store
+                sides.append(
+                    (db.query_batch(queries, kind=kind), store.fingerprint())
+                )
+            return sides[0], sides[1]
 
         return check
 
-    # "dynamic" exercises the honest fallback: constructors that cannot
-    # vectorize must serve serial-built answers, not fail.
-    for kind in ("quadrant", "dynamic"):
+    # Every 2-D kind has an array kernel: the vectorized stores must be
+    # byte-identical to the serial ones, not merely answer alike.
+    for kind in ("quadrant", "global", "dynamic"):
         checks.append(
             (
                 f"runtime:vectorized:{kind}",

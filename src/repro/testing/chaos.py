@@ -70,6 +70,7 @@ import tempfile
 from dataclasses import dataclass, field
 
 from repro.diagram.dynamic_scanning import dynamic_scanning
+from repro.diagram.highdim import quadrant_scanning_nd
 from repro.diagram.maintenance import insert_point
 from repro.diagram.pipeline import BuildOptions
 from repro.diagram.quadrant_scanning import quadrant_scanning
@@ -362,31 +363,41 @@ def _scenario_parallel_consistency(
 def _scenario_vectorized_executor(
     rng, max_points, workdir, options=None, metrics=None
 ) -> None:
-    """The vectorized engine under chaos: byte identity, budgets, fallback.
+    """The vectorized engines under chaos: byte identity, budgets, fallback.
 
-    Fuzzes the array engine against the serial one on random degenerate
-    datasets and random block sizes (byte-identical fingerprints, not
-    just semantic equality), drives it into a budget wall to confirm the
-    partial-diagram contract holds at row-block granularity, and checks
-    the honest fallback: a constructor with no vectorized kernel must
-    report the executor that actually ran.
+    Fuzzes the quadrant and dynamic array kernels against their serial
+    engines on random degenerate datasets and random block sizes
+    (byte-identical fingerprints, not just semantic equality), drives the
+    quadrant kernel into a budget wall to confirm the partial-diagram
+    contract holds at row-block granularity, and checks the honest
+    fallback: a constructor with no vectorized kernel (the d-dimensional
+    scan) must report the executor that actually ran.
     """
     points = _generate_points(rng, max_points)
     vector = BuildOptions(
         executor="vectorized", chunk_rows=rng.choice((None, 1, 2, 3))
     )
     serial = quadrant_scanning(points)
-    vectorized = quadrant_scanning(points, build_options=vector)
-    assert vectorized.build_report.executor == "vectorized", (
-        vectorized.build_report
-    )
-    assert serial.store.fingerprint() == vectorized.store.fingerprint(), (
-        "vectorized build is not byte-identical to serial"
-    )
-    fallback = dynamic_scanning(points, build_options=vector)
+    for build, reference in (
+        (quadrant_scanning, serial),
+        (dynamic_scanning, dynamic_scanning(points)),
+    ):
+        vectorized = build(points, build_options=vector)
+        assert vectorized.build_report.executor == "vectorized", (
+            vectorized.build_report
+        )
+        assert (
+            reference.store.fingerprint() == vectorized.store.fingerprint()
+        ), f"vectorized {build.__name__} is not byte-identical to serial"
+    lifted = [(x, y, float(i % 3)) for i, (x, y) in enumerate(points)]
+    fallback = quadrant_scanning_nd(lifted, build_options=vector)
     assert fallback.build_report.executor == "serial", (
-        "dynamic scanning cannot vectorize and must report what ran"
+        "the d-dimensional scan cannot vectorize and must report what ran"
     )
+    assert (
+        fallback.store.fingerprint()
+        == quadrant_scanning_nd(lifted).store.fingerprint()
+    ), "the serial fallback diverged from the serial build"
     budget = BuildBudget(max_cells=1)
     try:
         quadrant_scanning(points, budget=budget, build_options=vector)

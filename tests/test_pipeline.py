@@ -9,6 +9,7 @@ that order, and the parent merges chunk tables through one shared
 interner in global scan order, which reproduces the serial numbering.
 """
 
+import importlib
 import json
 import warnings
 
@@ -29,6 +30,8 @@ from repro.diagram.pipeline import (
     ProcessRowExecutor,
     SerialRowExecutor,
     relabel_scan_order,
+    split_tuples,
+    unique_rows,
 )
 from repro.diagram.quadrant_baseline import quadrant_baseline
 from repro.diagram.quadrant_scanning import (
@@ -93,6 +96,24 @@ class TestRelabelScanOrder:
         rows = np.array([[1, 1]], dtype=np.int32)
         _, ordered = relabel_scan_order(rows, [(5,), (6,), (7,)])
         assert ordered == [(6,)]
+
+
+class TestArrayHelpers:
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint64])
+    def test_unique_rows_matches_numpy(self, dtype):
+        rng = np.random.default_rng(5)
+        rows = rng.integers(0, 3, size=(200, 3)).astype(dtype)
+        first, inverse = unique_rows(rows)
+        uniq, np_first, np_inverse = np.unique(
+            rows, axis=0, return_index=True, return_inverse=True
+        )
+        assert np.array_equal(rows[first], uniq)
+        assert np.array_equal(first, np_first)
+        assert np.array_equal(inverse, np_inverse.reshape(-1))
+
+    def test_split_tuples(self):
+        assert split_tuples([4, 5, 6, 7], [1, 0, 3]) == [(4,), (), (5, 6, 7)]
+        assert split_tuples([], []) == []
 
 
 class TestExecutorIdentity:
@@ -266,9 +287,11 @@ class TestVectorizedExecutor:
         )
 
     def test_fallback_is_honest(self):
-        points = DATASETS[0]
-        serial = dynamic_scanning(points)
-        fallback = dynamic_scanning(
+        # The d-dimensional scan has no array kernel: asking it for the
+        # vectorized executor runs, and reports, the serial one.
+        points = [(2, 8, 1), (5, 4, 7), (9, 1, 3), (4, 6, 2)]
+        serial = quadrant_scanning_nd(points)
+        fallback = quadrant_scanning_nd(
             points, build_options=BuildOptions(executor="vectorized")
         )
         _assert_same_store(serial, fallback)
@@ -333,6 +356,192 @@ class TestVectorizedExecutor:
         assert len(table) == distinct
         serial = quadrant_scanning(points)
         assert table == serial.store.table
+
+
+ALL_DATASETS = DATASETS + list(DEGENERATE_DATASETS.values())
+ALL_IDS = [f"random{i}" for i in range(len(DATASETS))] + list(
+    DEGENERATE_DATASETS
+)
+
+
+class TestDynamicKernel:
+    """The vectorized Algorithm 7 must reproduce the serial sweep's store."""
+
+    @pytest.mark.parametrize("points", ALL_DATASETS, ids=ALL_IDS)
+    @pytest.mark.parametrize("chunk_rows", [None, 1, 2, 3])
+    def test_byte_identity(self, points, chunk_rows):
+        serial = dynamic_scanning(points)
+        vectorized = dynamic_scanning(
+            points,
+            build_options=BuildOptions(
+                executor="vectorized", chunk_rows=chunk_rows
+            ),
+        )
+        _assert_same_store(serial, vectorized)
+        assert vectorized.build_report.executor == "vectorized"
+
+    @pytest.mark.parametrize("points", ALL_DATASETS[:3], ids=ALL_IDS[:3])
+    def test_rle_backend(self, points):
+        serial = dynamic_scanning(points, build_options=BuildOptions(
+            backend="rle"))
+        vectorized = dynamic_scanning(points, build_options=BuildOptions(
+            executor="vectorized", backend="rle"))
+        assert vectorized.store.backend_kind == "rle"
+        assert vectorized.store.fingerprint() == serial.store.fingerprint()
+
+    def test_accounting_matches_serial(self):
+        points = DATASETS[1]
+        serial = dynamic_scanning(points)
+        vectorized = dynamic_scanning(
+            points,
+            build_options=BuildOptions(executor="vectorized", chunk_rows=3),
+        )
+        for field in ("cells", "rows_scanned", "distinct_results"):
+            assert getattr(vectorized.build_report, field) == getattr(
+                serial.build_report, field
+            )
+
+    def test_budget_trips_at_row_block_boundary(self):
+        from repro.resilience import CoverageMiss
+
+        points = DEGENERATE_DATASETS["boundary-heavy"]
+        serial = dynamic_scanning(points)
+        sx, sy = serial.store.shape
+        chunk_rows = 2
+        with pytest.raises(BudgetExceededError) as excinfo:
+            dynamic_scanning(
+                points,
+                budget=BuildBudget(max_cells=chunk_rows * sx),
+                build_options=BuildOptions(
+                    executor="vectorized", chunk_rows=chunk_rows
+                ),
+            )
+        partial = excinfo.value.partial
+        assert partial is not None
+        # Blocks run bottom-up, so the partial covers whole blocks only.
+        assert partial.rows_built == 2 * chunk_rows
+        subcells = serial.subcells
+        hits = 0
+        for i in range(sx):
+            for j in range(sy):
+                query = subcells.representative((i, j))
+                try:
+                    answer = partial.query(query)
+                except CoverageMiss:
+                    continue
+                hits += 1
+                assert answer == serial.query(query)
+        assert hits == partial.rows_built * sx
+
+
+def _perfbench_anticorrelated(n: int, seed: int) -> list[tuple]:
+    """The benchmark's stratified anticorrelated generator (spread 0.05)."""
+    rng = np.random.default_rng(seed)
+    t = (rng.permutation(n) + rng.random(n)) / n
+    coords = np.column_stack([t, 1.0 - t]) + rng.normal(0.0, 0.05, (n, 2))
+    return [tuple(map(float, row)) for row in np.clip(coords, 0.0, 1.0)]
+
+
+#: Global-diagram store fingerprints recorded with the tuple-merging
+#: union (one heap merge and intern per id combination) that the array
+#: kernel replaced: ids, table order and contents must not move.
+GLOBAL_GOLDEN = {
+    "random0": "e17bd0fa58d252b7afce39fdf57c574c2168b98648cc9e4f33e1e573218cc0ca",
+    "random1": "4c54610455b81556f11e946d6fc69f9418843b51c4af858692b590e3884e8818",
+    "random2": "078f09f701e2c41dc63bb744b1bf70da902e0a1464681ec86047d1945b26d360",
+    "random3": "a1438b6126581d4a9eb87926794bffa41753096d26853f319a99fb73476e69d7",
+    "random4": "9f96de7675b41080eb91fa0ee46e53bdc77cd64c7ecb981ff2b8d3ba81194179",
+    "duplicates": "8358870d8af0d99275cf6f0965ae0e0c94826b16a3e38ca867df0920b73f339d",
+    "collinear": "876dc189134931168f4529eaf93311c0d87f8343b11c3998e0b81d2e8e370abc",
+    "single": "4f030339e85efa8d513deb3a2ee269b5ce6ee75bfe0246752a20b57cc44cca80",
+    "boundary-heavy": "bea4d54f9a8a9bdd7f1c04c27b0a1b539b0fbe137f22cef5e16f46535958e288",
+    "vertical-stack": "42e7cacc135b1ff814720cae4faafe4b3cf7b563a46385ddbdb051e7a6f4ce3a",
+}
+
+
+class TestGlobalUnion:
+    """The array union kernel against fingerprints of the tuple merge."""
+
+    @pytest.mark.parametrize("executor", ["serial", "vectorized"])
+    @pytest.mark.parametrize("name", list(GLOBAL_GOLDEN))
+    def test_golden_fingerprint(self, name, executor):
+        points = dict(zip(ALL_IDS, ALL_DATASETS))[name]
+        diagram = global_diagram(
+            points, build_options=BuildOptions(executor=executor)
+        )
+        assert diagram.store.fingerprint() == GLOBAL_GOLDEN[name]
+        assert diagram.build_report.executor == executor
+
+    @pytest.mark.parametrize("executor", ["serial", "vectorized"])
+    def test_golden_fingerprint_anticorrelated_300(self, executor):
+        points = _perfbench_anticorrelated(300, seed=1)
+        diagram = global_diagram(
+            points, build_options=BuildOptions(executor=executor)
+        )
+        assert diagram.store.fingerprint() == (
+            "eb062b0711e7f1d21c13646ecde54be627f0e08079900cff81956205a7ec0019"
+        )
+
+    def test_golden_fingerprint_3d(self):
+        points = generate("independent", n=10, dim=3, seed=5, domain=12)
+        diagram = global_diagram(points, algorithm=quadrant_scanning_nd)
+        assert diagram.store.fingerprint() == (
+            "2724ddfd62b585b12f97fd7033b75301fb2e8ba1cc79aa40e23603c4d19a4ac2"
+        )
+
+    @pytest.mark.parametrize("keys", ["zero", "parity"])
+    def test_hash_collisions_are_resolved_exactly(self, monkeypatch, keys):
+        # Degenerate set hashes make different unions collide: the exact
+        # verification must still give every union its own id.
+        module = importlib.import_module("repro.diagram.global_diagram")
+        monkeypatch.setattr(
+            module,
+            "_point_keys",
+            lambda n: (np.zeros(n) if keys == "zero" else np.arange(n) % 2)
+            .astype(np.uint64),
+        )
+        for name in ("random0", "random1", "duplicates", "boundary-heavy"):
+            points = dict(zip(ALL_IDS, ALL_DATASETS))[name]
+            diagram = global_diagram(
+                points, build_options=BuildOptions(executor="vectorized")
+            )
+            assert diagram.store.fingerprint() == GLOBAL_GOLDEN[name]
+
+    def test_distinct_budget_trips_in_union_phase(self):
+        points = DATASETS[1]
+        full = global_diagram(points)
+        largest_quadrant = max(
+            quadrant_diagram_for_mask(
+                points, mask, quadrant_scanning
+            ).store.distinct_count
+            for mask in range(4)
+        )
+        assert largest_quadrant < full.store.distinct_count - 1
+        phases = []
+        options = BuildOptions(
+            telemetry=lambda phase, payload: phases.append(
+                (payload["kind"], phase)
+            )
+        )
+        with pytest.raises(BudgetExceededError, match="distinct") as info:
+            global_diagram(
+                points,
+                budget=BuildBudget(
+                    max_distinct=full.store.distinct_count - 1
+                ),
+                build_options=options,
+            )
+        assert info.value.partial is None
+        own = [phase for kind, phase in phases if kind == "global"]
+        assert own == ["row_scan", "intern"]
+
+    def test_report_names_the_sub_build_executor(self):
+        points = DATASETS[0]
+        report = global_diagram(
+            points, build_options=BuildOptions(executor="vectorized")
+        ).build_report
+        assert (report.executor, report.workers) == ("vectorized", 1)
+        assert global_diagram(points).build_report.executor == "serial"
 
 
 class TestBudgetKwargCompat:
