@@ -41,7 +41,6 @@ from __future__ import annotations
 import dataclasses
 import inspect
 from collections.abc import Callable, Sequence
-from itertools import chain
 
 import numpy as np
 
@@ -52,7 +51,7 @@ from repro.diagram.pipeline import (
     split_tuples,
     unique_rows,
 )
-from repro.diagram.store import ConsForestTable, ResultStore, _multi_arange
+from repro.diagram.store import ResultStore, _multi_arange, table_csr
 from repro.errors import BudgetExceededError, DimensionalityError
 from repro.geometry.dominance import reflect_points
 from repro.geometry.grid import Grid
@@ -112,55 +111,6 @@ def _point_keys(n: int) -> np.ndarray:
     )
 
 
-def _table_csr(table) -> tuple[np.ndarray, np.ndarray]:
-    """CSR ``(sizes, points)`` of an interned table, without new tuples.
-
-    A lazy :class:`~repro.diagram.store.ConsForestTable` (what the
-    vectorized quadrant engine emits) is unrolled along its parent chains
-    one level per pass, so each entry's points come out contiguous but
-    not sorted — all the union kernel needs.  Other tables are read
-    entry by entry.
-    """
-    if type(table) is not ConsForestTable:
-        entries = table if type(table) is list else table.materialize()
-        sizes = np.fromiter(map(len, entries), dtype=np.int64,
-                            count=len(entries))
-        points = np.fromiter(chain.from_iterable(entries), dtype=np.int64,
-                             count=int(sizes.sum()))
-        return sizes, points
-    group_sizes, group_points = _table_csr(table._groups)
-    group_starts = np.cumsum(group_sizes) - group_sizes
-    rep = np.asarray(table._rep, dtype=np.int64)
-    par = np.asarray(table._par, dtype=np.int64)
-    # Node k >= 1 holds group rep[k - 1] plus everything of node
-    # par[k - 1] + 1: walk every chain at once, one ancestor per pass.
-    sizes = np.zeros(rep.size + 1, dtype=np.int64)
-    passes = []
-    node = np.arange(1, rep.size + 1)
-    link = node - 1
-    while link.size:
-        group = rep[link]
-        sizes[node] += group_sizes[group]
-        passes.append((node, group))
-        link = par[link]
-        keep = link >= 0
-        node, link = node[keep], link[keep]
-    cursor = np.cumsum(sizes) - sizes
-    dest, src, length = ([np.empty(0, np.int64)] for _ in range(3))
-    for node, group in passes:
-        dest.append(cursor[node])
-        src.append(group_starts[group])
-        length.append(group_sizes[group])
-        cursor[node] += length[-1]
-    dest, src, length = map(np.concatenate, (dest, src, length))
-    points = np.empty(int(sizes.sum()), dtype=np.int64)
-    while dest.size:  # one element of every group per pass
-        points[dest] = group_points[src]
-        more = length > 1
-        dest, src, length = dest[more] + 1, src[more] + 1, length[more] - 1
-    return sizes, points
-
-
 def _union_table(
     tables: Sequence,
     combos: np.ndarray,
@@ -177,7 +127,7 @@ def _union_table(
     a time produces.  ``checkpoint(distinct=...)`` runs once per
     materialized block.
     """
-    csr = [_table_csr(t) for t in tables]
+    csr = [table_csr(t) for t in tables]
     # Flat entry ids across quadrants; the extra last entry is empty.
     sizes = np.concatenate([c[0] for c in csr] + [np.zeros(1, np.int64)])
     points = np.concatenate([c[1] for c in csr])

@@ -6,53 +6,66 @@ does not require rebuilding the whole diagram.  A point ``p`` with ranks
 (``i < rx`` and ``j < ry``), so an update *dirties* exactly that
 lower-left block and every other cell keeps its result verbatim (modulo
 the one split/merged grid line and, for deletion, the id renumbering).
+By Theorem 1 a row depends only on the row above it, so the dirty rows
+can be recomputed from the clean boundary row down.
 
-Both operations run directly on the :class:`~repro.diagram.store.
-ResultStore` arrays through the shared build pipeline:
+Every operation runs directly on the :class:`~repro.diagram.store.
+ResultStore` arrays:
 
-* the **clean rows** (``j >= ry``) are copied from the old id grid in one
-  vectorized fancy-index over the remapped columns — no per-cell Python
-  work;
-* the **dirty rows** (``j < ry``) are re-scanned with the same delta-form
-  row kernel the scanning constructor uses: :func:`~repro.diagram.
-  quadrant_scanning._seed_state` rebuilds the entering scan state at the
-  dirty boundary from the dataset alone, and :func:`~repro.diagram.
-  quadrant_scanning._scan_rows` sweeps only the ``ry`` dirty rows;
-* the two blocks then merge in global scan order
-  (:func:`~repro.diagram.pipeline.relabel_scan_order` +
-  :func:`_merge_at_boundary`, which deduplicates the dirty chunk against
-  only the clean block's bottom row instead of hashing the whole clean
-  table), so the updated store is **byte-identical** (content
-  fingerprint) to a from-scratch serial build over the updated dataset —
-  incremental maintenance never changes the artifact.
+* the **clean rows** (``j >= dirty_hi``) are copied from the old id grid
+  in one vectorized gather over the remapped columns and renumbered by
+  first occurrence in scan order (a presence mask when no grid column
+  was dropped); their results come from the old table's CSR arrays,
+  and a deletion's id renumbering is one array lookup on them;
+* the **dirty rows** (``j < dirty_hi``) are re-scanned with the
+  vectorized build's own kernel, :class:`~repro.diagram.
+  quadrant_scanning._StaircaseScan`, seeded at the dirty boundary
+  (:func:`~repro.diagram.quadrant_scanning._vector_seed`) with the
+  clean boundary row's ids as its nodes;
+* the merge is ``clean ids, then new nodes in emission order``: every
+  new node holds a corner group from a dirty row, so it equals no clean
+  result and no other new node.  The updated table is built as CSR
+  arrays (:func:`~repro.diagram.store.forest_csr`) and kept as a
+  :class:`~repro.diagram.store.PackedTable`, so no tuple is built or
+  hashed.
+
+The updated store is **byte-identical** (content fingerprint) to a
+from-scratch build over the updated dataset — incremental maintenance
+never changes the artifact.
 
 Updates are copy-on-write and budget-aware: a
-:class:`~repro.resilience.BuildBudget` checkpoints per re-scanned row,
-and on exhaustion the raised :class:`~repro.errors.BudgetExceededError`
-carries an exact :class:`~repro.resilience.PartialDiagram` over the rows
-completed before the interruption while the original diagram stays
-untouched.  Only first-quadrant (``mask=0``) 2-D diagrams are supported —
-other orientations maintain their reflections.
+:class:`~repro.resilience.BuildBudget` checkpoints once for the clean
+block and once per re-scanned row block, and on exhaustion the raised
+:class:`~repro.errors.BudgetExceededError` carries an exact
+:class:`~repro.resilience.PartialDiagram` over the rows completed
+before the interruption while the original diagram stays untouched.
+Only first-quadrant (``mask=0``) 2-D diagrams are supported — other
+orientations maintain their reflections.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from collections.abc import Sequence
 
 import numpy as np
 
 from repro.diagram.base import SkylineDiagram
-from repro.diagram.pipeline import (
-    BuildContext,
-    BuildOptions,
-    relabel_scan_order,
-)
+from repro.diagram.pipeline import BuildContext, BuildOptions, scan_order_ids
 from repro.diagram.quadrant_scanning import (
     _corner_rows,
-    _scan_rows,
-    _seed_state,
+    _StaircaseScan,
+    _vector_corner_rows,
+    _vector_seed,
 )
-from repro.diagram.store import ResultStore, _RLERowBuilder
+from repro.diagram.store import (
+    ResultStore,
+    _multi_arange,
+    _RLERowBuilder,
+    _starts,
+    packed_table,
+    table_csr,
+)
 from repro.errors import BudgetExceededError, QueryError
 from repro.geometry.grid import Grid
 from repro.geometry.point import Dataset, as_point
@@ -61,26 +74,39 @@ from repro.resilience import BudgetMeter, BuildBudget, PartialDiagram
 __all__ = ["apply_ops", "delete_point", "insert_point"]
 
 
-def _default_options(
-    diagram: SkylineDiagram, build_options: BuildOptions | None
-) -> BuildOptions | None:
-    """Maintenance preserves the input store's backend unless told not to.
+def _context(
+    diagram: SkylineDiagram,
+    build_options: BuildOptions | None,
+    budget: BuildBudget | BudgetMeter | None,
+    op: str,
+) -> BuildContext:
+    """The build context of one update: always the vectorized kernel.
 
-    With no explicit ``build_options`` an update of an RLE diagram stays
-    RLE (taking the run-domain path when eligible) and a quad diagram
-    re-merges at its own epsilon; passing options with a different
-    ``backend`` converts the updated store instead.
+    With no explicit ``build_options`` the store's backend is preserved
+    (an RLE diagram stays RLE, taking the run-domain path when eligible;
+    a quad diagram re-merges at its own epsilon); options with a
+    different ``backend`` convert the updated store instead.  Whatever
+    executor the options name, the dirty rows run on the vectorized
+    kernel, and the report says so.
     """
-    if build_options is not None:
-        return build_options
-    kind = diagram.store.backend_kind
-    if kind == "dense":
-        return None
-    if kind == "quad":
-        return BuildOptions(
-            backend="quad", quad_error=diagram.store.backend.epsilon
+    if build_options is None:
+        kind = diagram.store.backend_kind
+        build_options = (
+            BuildOptions(
+                backend="quad", quad_error=diagram.store.backend.epsilon
+            )
+            if kind == "quad"
+            else BuildOptions(backend=kind)
         )
-    return BuildOptions(backend=kind)
+    return BuildContext(
+        budget,
+        dataclasses.replace(
+            build_options, executor="vectorized", workers=None
+        ),
+        algorithm=f"{diagram.algorithm}+{op}",
+        kind="maintenance",
+        vector_capable=True,
+    )
 
 
 def _check(diagram: SkylineDiagram) -> None:
@@ -235,180 +261,6 @@ def _rle_assemble(
     return builder.build()
 
 
-def _splice_dirty(
-    ctx: BuildContext,
-    new_grid: Grid,
-    new_id: int,
-    old_store: ResultStore,
-    old_table,
-    x_origin: list[int],
-    y_origin: list[int],
-    dirty_hi: int,
-    dirty_rows: np.ndarray,
-    partial_rows,
-) -> list | None:
-    """Insert fast path: splice the new point into copies of the old rows.
-
-    A new point ``p`` *changes* a dirty cell only where it enters the
-    result — the cells seeing no strict dominator of ``p``.  Per dirty
-    row that is one column interval ``[lo(j), rx)`` where ``lo(j)`` is
-    the largest x-rank among dominators whose y-rank exceeds the row
-    (the dominator staircase).  On those cells ``p`` is undominated
-    among the candidates, so
-
-        ``Sky(C ∪ {p}) = {p} ∪ {s ∈ Sky(C) : p does not dominate s}``
-
-    — a pure splice of the copied old result that needs no re-scan; the
-    non-splice clause holds because any non-skyline candidate stays
-    dominated by a surviving maximal point (domination is transitive).
-    Every other dirty cell keeps the old column-remapped result
-    verbatim, by the same covering-column argument as the clean block.
-
-    Returns the dirty rows' lookup table (the old table plus the spliced
-    tail), or ``None`` when the appearance region references so many
-    distinct results that the row kernel is the cheaper engine (the
-    splice pays one Python tuple rebuild per distinct region result; the
-    kernel pays per dirty cell).
-
-    Budget checkpoints run once per completed row, matching the kernel
-    path's semantics (``partial_rows`` sees rows ``[j, dirty_hi)``).
-    """
-    sx = new_grid.shape[0]
-    rxp, _ = new_grid.rank_of(new_id)
-    ranks = np.asarray(new_grid.ranks, dtype=np.int64)
-    rx, ry = ranks[:, 0], ranks[:, 1]
-    ryp = int(ry[new_id])
-    dom = (rx <= rxp) & (ry <= ryp) & ((rx < rxp) | (ry < ryp))
-    dom[new_id] = False
-    dom_ids = np.nonzero(dom)[0]
-    if len(dom_ids):
-        d_rx = rx[dom_ids]
-        d_ry = ry[dom_ids]
-        order = np.argsort(d_ry, kind="stable")
-        ry_sorted = d_ry[order]
-        suffix_max = np.maximum.accumulate(d_rx[order][::-1])[::-1]
-        pos = np.searchsorted(ry_sorted, np.arange(dirty_hi), side="right")
-        lo = np.where(
-            pos < len(dom_ids),
-            suffix_max[np.minimum(pos, len(dom_ids) - 1)],
-            0,
-        )
-        lo = np.minimum(lo, rxp)
-    else:
-        lo = np.zeros(dirty_hi, dtype=np.int64)
-    base = _gather_block(old_store, x_origin, y_origin[:dirty_hi])
-    segments = [
-        base[j, lo[j] : rxp] for j in range(dirty_hi) if lo[j] < rxp
-    ]
-    used = (
-        np.unique(np.concatenate(segments))
-        if segments
-        else np.empty(0, dtype=np.int64)
-    )
-    if len(used) * 8 > dirty_hi * sx:
-        return None
-    # Points the new point dominates — these leave any result p joins.
-    shadowed = (rx >= rxp) & (ry >= ryp) & ((rx > rxp) | (ry > ryp))
-    dom_set = set(np.nonzero(shadowed)[0].tolist())
-    map_arr = np.zeros(max(1, len(old_table)), dtype=np.int32)
-    tail: list[tuple[int, ...]] = []
-    seen: dict[tuple[int, ...], int] = {}
-    next_id = len(old_table)
-    for u in used.tolist():
-        # The new id is the largest, so appending keeps the tuple sorted.
-        spliced = tuple(
-            s for s in old_table[u] if s not in dom_set
-        ) + (new_id,)
-        hit = seen.get(spliced)
-        if hit is None:
-            seen[spliced] = hit = next_id
-            tail.append(spliced)
-            next_id += 1
-        map_arr[u] = hit
-    table = list(old_table) + tail
-    dirty_rows[:] = base
-    for j in range(dirty_hi - 1, -1, -1):
-        if lo[j] < rxp:
-            segment = dirty_rows[j, lo[j] : rxp]
-            dirty_rows[j, lo[j] : rxp] = map_arr[segment]
-        try:
-            ctx.checkpoint(advance=sx, distinct=len(table))
-        except BudgetExceededError as exc:
-            if exc.partial is None:
-                exc.partial = PartialDiagram(
-                    new_grid,
-                    partial_rows(j, dirty_rows, table),
-                    None,
-                    boundary_exact=True,
-                )
-            raise
-    return table
-
-
-def _merge_at_boundary(
-    clean_local: np.ndarray,
-    clean_table: list,
-    dirty_local: np.ndarray,
-    dirty_table: list,
-    dirty_hi: int,
-    rows_out: np.ndarray,
-) -> list:
-    """Merge the clean and dirty chunks without hashing the clean table.
-
-    The clean chunk leads the global scan order and its table entries are
-    distinct (an injective id remap of distinct old results), so its
-    merged ids are ``0..C-1`` verbatim.  The dirty chunk only needs
-    deduplication against the clean results that can recur below the
-    boundary — and those all appear in the clean block's *bottom* row
-    (``j = dirty_hi``):
-
-    A cell's candidate set is antitone in its position, and for nested
-    candidate sets ``A ⊇ B ⊇ C`` with ``Sky(A) = Sky(C) = S``, also
-    ``Sky(B) = S`` (each point of ``S`` is undominated in ``A`` hence in
-    ``B``; each point of ``B \\ S`` lies in ``A`` and is strictly
-    dominated by some maximal point of ``A``, i.e. by ``S`` — with or
-    without duplicate points).  So if a dirty cell ``(i1, j1)`` and a
-    clean cell ``(i2, j2)`` share result ``S``, the corner cell
-    ``(min(i1, i2), j)`` is sandwiched for every ``j1 <= j <= j2`` and
-    carries ``S`` across row ``dirty_hi``.  Deduplicating against that
-    one row's results replaces a dict over the full clean table (about
-    as large as the cell count) with one over at most ``sx`` entries.
-    """
-    rows_out[dirty_hi:] = clean_local
-    boundary_ids = (
-        np.unique(clean_local[0]).tolist()
-        if rows_out.shape[0] > dirty_hi
-        else []
-    )
-    mapping, merged = _merge_tables(boundary_ids, clean_table, dirty_table)
-    rows_out[:dirty_hi] = mapping[dirty_local]
-    return merged
-
-
-def _merge_tables(
-    boundary_ids: list, clean_table: list, dirty_table: list
-) -> tuple[np.ndarray, list]:
-    """Dedup the dirty table against the clean boundary results.
-
-    Returns ``(mapping, merged)``: ``mapping[k]`` is the merged id of
-    dirty-local id ``k``, and ``merged`` extends ``clean_table`` with
-    the genuinely new dirty results in dirty scan order.
-    """
-    boundary = {clean_table[i]: i for i in boundary_ids}
-    next_id = len(clean_table)
-    mapping = np.empty(max(1, len(dirty_table)), dtype=np.int32)
-    tail = []
-    for k, result in enumerate(dirty_table):
-        hit = boundary.get(result)
-        if hit is None:
-            mapping[k] = next_id
-            tail.append(result)
-            next_id += 1
-        else:
-            mapping[k] = hit
-    return mapping, clean_table + tail
-
-
 def _rescan_update(
     ctx: BuildContext,
     diagram: SkylineDiagram,
@@ -416,30 +268,30 @@ def _rescan_update(
     x_origin: list[int],
     y_origin: list[int],
     dirty_hi: int,
-    remap_table,
-    new_point_id: int | None = None,
+    id_map: np.ndarray | None,
 ) -> SkylineDiagram:
-    """Shared dirty-region engine behind both maintenance operations.
+    """Shared dirty-region engine behind every maintenance operation.
 
     Rows ``[dirty_hi, sy)`` of the new grid are clean: they are the old
     rows ``y_origin[j]`` with columns remapped through ``x_origin``, so
-    one fancy-index copies the whole block.  Rows ``[0, dirty_hi)`` are
-    re-scanned from the new dataset with the scanning constructor's own
-    row kernel.  ``remap_table`` post-processes the clean block's
-    restricted result table (deletion renumbers ids; insertion is the
-    identity).  Both blocks merge in global scan order, which makes the
-    result byte-identical to a fresh serial build.
+    one gather copies the whole block.  ``id_map`` renumbers the clean
+    results' point ids (``None`` keeps them).  Rows ``[0, dirty_hi)``
+    are re-scanned from the new dataset by the vectorized kernel seeded
+    at the boundary; clean ids come first and new nodes follow in
+    emission order, which makes the result byte-identical to a fresh
+    build.
     """
     old_store = diagram.store
     sx, sy = new_grid.shape
     # Run-domain fast path: an RLE store updating toward an RLE target
     # splices the clean suffix run-by-run — the old grid is never
-    # materialized.  It requires the cheap presence relabel below, which
-    # in turn requires a column map that never drops a column.
+    # materialized.  It requires the presence relabel below, which in
+    # turn requires a column map that never drops a column.
+    keeps_columns = sx >= old_store.shape[0]
     direct_rle = (
         old_store.backend_kind == "rle"
         and ctx.options.backend == "rle"
-        and sx >= old_store.shape[0]
+        and keeps_columns
     )
     if old_store.backend_kind != "dense" and not direct_rle:
         # Honest accounting: a compressed/approximate store that cannot
@@ -447,193 +299,106 @@ def _rescan_update(
         # recompressed to the target backend by ``ctx.finish``.
         ctx.report.backend_fallback = "densify"
     with ctx.phase("row_scan"):
-        # Clean block first — it is the *top* of the scan order.  The
-        # copy is one vectorized gather (skipped entirely on the
-        # run-domain path); the checkpoint charges its cells so
-        # time/cell budgets account for the whole update honestly.
-        clean_rows = (
-            None
-            if direct_rle
-            else _gather_block(old_store, x_origin, y_origin[dirty_hi:])
-        )
-        old_table = old_store.table_view()
-
-        def partial_rows(upto: int, scan_rows, scan_table) -> dict:
-            """Completed-suffix rows as raw tuples (mixed id spaces)."""
-            remapped = remap_table(
-                [old_table[i] for i in range(len(old_table))]
-            )
-            block = (
-                clean_rows
-                if clean_rows is not None
-                else _gather_block(old_store, x_origin, y_origin[dirty_hi:])
-            )
-            rows: dict[int, list] = {}
-            for jj in range(dirty_hi, sy):
-                rows[jj] = [
-                    remapped[i]
-                    for i in block[jj - dirty_hi].tolist()
-                ]
-            for jj in range(upto, dirty_hi):
-                rows[jj] = [
-                    scan_table[i] for i in scan_rows[jj].tolist()
-                ]
-            return rows
-
-        try:
-            ctx.checkpoint(advance=(sy - dirty_hi) * sx)
-        except BudgetExceededError as exc:
-            if exc.partial is None:
-                exc.partial = PartialDiagram(
-                    new_grid,
-                    partial_rows(dirty_hi, None, None),
-                    None,
-                    boundary_exact=True,
-                )
-            raise
-
-        # Dirty block: an insert first tries the splice fast path —
-        # overwrite only the new point's appearance staircase in a copy
-        # of the old rows; otherwise re-scan rows [0, dirty_hi) with the
-        # delta-form kernel, seeded at the dirty boundary from the
-        # dataset alone.
-        dirty_rows = np.empty((dirty_hi, sx), dtype=np.int32)
-        table = None
-        if new_point_id is not None:
-            table = _splice_dirty(
-                ctx,
-                new_grid,
-                new_point_id,
-                old_store,
-                old_table,
-                x_origin,
-                y_origin,
-                dirty_hi,
-                dirty_rows,
-                partial_rows,
-            )
-        if table is None:
-            row_corners, row_corner_cols = _corner_rows(new_grid)
-            upper, diff_events, diff_deltas, table, intern = _seed_state(
-                new_grid, dirty_hi
-            )
-
-            def on_row(j: int) -> None:
-                try:
-                    ctx.checkpoint(advance=sx, distinct=len(table))
-                except BudgetExceededError as exc:
-                    if exc.partial is None:
-                        exc.partial = PartialDiagram(
-                            new_grid,
-                            partial_rows(j, dirty_rows, table),
-                            None,
-                            boundary_exact=True,
-                        )
-                    raise
-
-            _scan_rows(
-                sx,
-                row_corners,
-                row_corner_cols,
-                0,
-                dirty_hi,
-                upper,
-                diff_events,
-                diff_deltas,
-                table,
-                intern,
-                dirty_rows,
-                0,
-                on_row,
-            )
-        ctx.count_rows(dirty_hi)
-    with ctx.phase("intern"):
-        # Treat the clean copy and the re-scan as two chunks of a sharded
-        # build: relabel each into scan-order-first-occurrence ids, then
-        # merge topmost first — exactly the path that makes process-pool
-        # builds byte-identical to serial.
-        #
-        # The clean block usually gets a cheaper relabel: the old store's
-        # table is already in scan-first-occurrence order (every build
-        # path guarantees byte-identity with serial), and a column map
-        # that never *drops* a column (insert always; delete when the
-        # victim shares its x grid line) preserves the relative order of
-        # first occurrences — duplicated columns sit adjacent in scan
-        # order and cannot reorder anything.  Ascending old id therefore
-        # IS first-occurrence order, and a presence mask replaces the
-        # O(cells log cells) sort inside relabel_scan_order.  A dropped
-        # column can move an id's first occurrence past another's, so
-        # that case keeps the general relabel.
-        clean_local = None
+        # Clean block first — it is the *top* of the scan order, so its
+        # ids are renumbered by first occurrence there.  Every build path
+        # leaves the old table in that order, and a column map that never
+        # *drops* a column keeps the relative order of first occurrences
+        # (duplicated columns sit adjacent in scan order), so ascending
+        # old id already is the new order and a presence mask replaces
+        # the sort.  A dropped column can move an id's first occurrence
+        # past another's; that case takes the general relabel.
+        clean = None
         if direct_rle:
-            # Same presence relabel, computed over run values instead of
-            # cells; ``used`` is ascending either way, so the clean ids
-            # come out byte-identical to the dense gather's.
             suffix_runs, used, boundary_raw = _rle_suffix_runs(
                 old_store.backend, x_origin, y_origin, dirty_hi, sy
             )
-            rank = np.zeros(max(1, len(old_table)), dtype=np.int32)
-            rank[used] = np.arange(len(used), dtype=np.int32)
-            if len(used) == len(old_table):
-                clean_table = list(old_table)
-            else:
-                clean_table = list(
-                    map(old_table.__getitem__, used.tolist())
-                )
-        elif sx >= old_store.shape[0]:
-            counts = np.bincount(
-                clean_rows.ravel(), minlength=len(old_table)
-            )
-            used = np.nonzero(counts)[0]
-            rank = np.zeros(max(1, len(old_table)), dtype=np.int32)
-            rank[used] = np.arange(len(used), dtype=np.int32)
-            clean_local = rank[clean_rows]
-            if len(used) == len(old_table):
-                clean_table = list(old_table)
-            else:
-                clean_table = list(
-                    map(old_table.__getitem__, used.tolist())
-                )
         else:
-            clean_local, clean_table = relabel_scan_order(
-                clean_rows, old_table, flip=True
+            clean_rows = _gather_block(
+                old_store, x_origin, y_origin[dirty_hi:]
             )
-        clean_table = remap_table(clean_table)
-        dirty_local, dirty_table = relabel_scan_order(
-            dirty_rows, table, flip=True
+            if keeps_columns:
+                used = np.flatnonzero(
+                    np.bincount(
+                        clean_rows.ravel(),
+                        minlength=old_store.distinct_count,
+                    )
+                )
+            else:
+                clean, used = scan_order_ids(clean_rows, flip=True)
+        rank = np.zeros(max(1, old_store.distinct_count), dtype=np.int32)
+        rank[used] = np.arange(used.size, dtype=np.int32)
+        if clean is None and not direct_rle:
+            clean = rank[clean_rows]
+        if used.size:
+            sizes, points = table_csr(old_store._table)
+            base_sizes = sizes[used]
+            base_points = points[
+                _multi_arange(_starts(sizes)[used], base_sizes)
+            ]
+            if id_map is not None:
+                base_points = id_map[base_points]
+        else:  # nothing clean: the base is the empty result alone
+            base_sizes = np.zeros(1, dtype=np.int64)
+            base_points = np.empty(0, dtype=np.int64)
+
+        def clean_block() -> np.ndarray:
+            if clean is not None:
+                return clean
+            block = _gather_block(old_store, x_origin, y_origin[dirty_hi:])
+            return rank[block]
+
+        def partial(lo: int, scan=None) -> PartialDiagram:
+            """Exact rows ``[lo, sy)`` over the table built so far."""
+            rows = dict(enumerate(clean_block(), start=dirty_hi))
+            csr = (base_sizes, base_points)
+            if scan is not None:
+                rows.update(enumerate(scan.decode(dirty_hi - lo), start=lo))
+                csr = scan.csr(*csr)
+            return PartialDiagram(
+                new_grid, rows, packed_table(*csr), boundary_exact=True
+            )
+
+        try:
+            # Charge the copied cells so time/cell budgets account for
+            # the whole update honestly.
+            ctx.checkpoint(advance=(sy - dirty_hi) * sx)
+        except BudgetExceededError as exc:
+            if exc.partial is None:
+                exc.partial = partial(dirty_hi)
+            raise
+
+        # Dirty block: the vectorized kernel from the staircase of the
+        # points above the boundary, whose nodes are the boundary row's
+        # clean ids.
+        per_row, groups = _vector_corner_rows(_corner_rows(new_grid)[0])
+        cols, rep, pse = _vector_seed(per_row, dirty_hi)
+        if cols.size:
+            boundary = rank[boundary_raw] if direct_rle else clean[0]
+            node = boundary[cols].astype(np.int64) - 1
+        else:
+            node = cols
+        scan = _StaircaseScan(
+            sx,
+            per_row,
+            groups,
+            state=(cols, rep, pse, node),
+            next_id=base_sizes.size - 1,
         )
-        if direct_rle:
-            boundary_ids = (
-                np.unique(rank[boundary_raw]).tolist()
-                if sy > dirty_hi
-                else []
-            )
-            mapping, merged = _merge_tables(
-                boundary_ids, clean_table, dirty_table
-            )
-            dirty_final = mapping[dirty_local]
-            rows_out = None
-        else:
-            rows_out = np.empty((sy, sx), dtype=np.int32)
-            merged = _merge_at_boundary(
-                clean_local,
-                clean_table,
-                dirty_local,
-                dirty_table,
-                dirty_hi,
-                rows_out,
-            )
-        ctx.checkpoint(distinct=len(merged))
+        scan.scan(ctx, dirty_hi, lambda lo: partial(lo, scan))
+    with ctx.phase("intern"):
+        table = packed_table(*scan.csr(base_sizes, base_points))
+        ctx.checkpoint(distinct=len(table))
     with ctx.phase("assemble"):
+        dirty = scan.decode(dirty_hi)
         if direct_rle:
             backend = _rle_assemble(
-                x_origin, suffix_runs, rank, dirty_final, dirty_hi, sx, sy
+                x_origin, suffix_runs, rank, dirty, dirty_hi, sx, sy
             )
-            store = ResultStore((sx, sy), backend, merged)
         else:
-            store = ResultStore(
-                (sx, sy), np.ascontiguousarray(rows_out.T), merged
-            )
+            backend = np.empty((sx, sy), dtype=np.int32)
+            backend[:, :dirty_hi] = dirty.T
+            backend[:, dirty_hi:] = clean.T
+        store = ResultStore((sx, sy), backend, table)
         updated = SkylineDiagram(
             new_grid,
             store,
@@ -656,10 +421,10 @@ def insert_point(
     the point's y-rank are re-scanned (``build_report.rows_scanned``
     counts exactly those); everything above is a vectorized copy of the
     old store.  The returned diagram's store is byte-identical to a fresh
-    serial build over the extended dataset.  ``budget`` checkpoints once
-    per re-scanned row; the original diagram is untouched on exhaustion
-    (maintenance is copy-on-write) and the raised error carries an exact
-    partial over the completed rows.
+    build over the extended dataset.  ``budget`` checkpoints once per
+    re-scanned row block; the original diagram is untouched on
+    exhaustion (maintenance is copy-on-write) and the raised error
+    carries an exact partial over the completed rows.
 
     >>> from repro.diagram import quadrant_scanning
     >>> updated = insert_point(quadrant_scanning([(5, 5)]), (2, 2))
@@ -667,13 +432,7 @@ def insert_point(
     (1,)
     """
     _check(diagram)
-    ctx = BuildContext(
-        budget,
-        _default_options(diagram, build_options),
-        algorithm=f"{diagram.algorithm}+insert",
-        kind="maintenance",
-        serial_only=True,
-    )
+    ctx = _context(diagram, build_options, budget, "insert")
     p = as_point(point)
     old = diagram.grid.dataset
     with ctx.phase("rank_space"):
@@ -686,14 +445,7 @@ def insert_point(
     # Point ids are append-only on insert, so the clean block's table
     # entries carry over verbatim.
     return _rescan_update(
-        ctx,
-        diagram,
-        new_grid,
-        x_origin,
-        y_origin,
-        ry,
-        lambda table: table,
-        new_point_id=new_id,
+        ctx, diagram, new_grid, x_origin, y_origin, ry, None
     )
 
 
@@ -717,13 +469,7 @@ def delete_point(
     (0,)
     """
     _check(diagram)
-    ctx = BuildContext(
-        budget,
-        _default_options(diagram, build_options),
-        algorithm=f"{diagram.algorithm}+delete",
-        kind="maintenance",
-        serial_only=True,
-    )
+    ctx = _context(diagram, build_options, budget, "delete")
     old = diagram.grid.dataset
     if not 0 <= point_id < len(old):
         raise QueryError(f"point id {point_id} out of range")
@@ -743,18 +489,15 @@ def delete_point(
             (j for j in range(sy) if y_origin[j] >= victim_ry), sy
         )
 
-    def remap_table(table):
-        # Results are sorted, so a max id below the victim means no id
-        # shifts — keep the tuple (the common case for late victims).
-        return [
-            result
-            if not result or result[-1] < point_id
-            else tuple(q - 1 if q > point_id else q for q in result)
-            for result in table
-        ]
-
+    ids = np.arange(len(old), dtype=np.int64)
     return _rescan_update(
-        ctx, diagram, new_grid, x_origin, y_origin, dirty_hi, remap_table
+        ctx,
+        diagram,
+        new_grid,
+        x_origin,
+        y_origin,
+        dirty_hi,
+        ids - (ids > point_id),
     )
 
 
@@ -810,13 +553,7 @@ def apply_ops(
             raise QueryError(f"unknown update op {op!r}")
     if len(labels) == len(old) and not any(is_new for is_new, _ in labels):
         return diagram  # every op cancelled against another
-    ctx = BuildContext(
-        budget,
-        _default_options(diagram, build_options),
-        algorithm=f"{diagram.algorithm}+batch",
-        kind="maintenance",
-        serial_only=True,
-    )
+    ctx = _context(diagram, build_options, budget, "batch")
     with ctx.phase("rank_space"):
         points = []
         final_of_old: dict[int, int] = {}
@@ -845,20 +582,19 @@ def apply_ops(
             )
             dirty_hi = max(dirty_hi, bound)
         # Composed renumbering of surviving old ids (monotone, so the
-        # remapped result tuples stay sorted); victims never appear in
-        # clean results — their candidate regions are inside the union.
-        identity = all(i == pos for i, pos in final_of_old.items())
+        # remapped results stay sorted); victims never appear in clean
+        # results — their candidate regions are inside the union.
         shift = np.zeros(max(1, len(old)), dtype=np.int64)
         for i, pos in final_of_old.items():
             shift[i] = pos
-
-    def remap_table(table):
-        if identity:
-            return table if isinstance(table, list) else list(table)
-        return [
-            tuple(int(shift[q]) for q in result) for result in table
-        ]
+        identity = all(i == pos for i, pos in final_of_old.items())
 
     return _rescan_update(
-        ctx, diagram, new_grid, x_origin, y_origin, dirty_hi, remap_table
+        ctx,
+        diagram,
+        new_grid,
+        x_origin,
+        y_origin,
+        dirty_hi,
+        None if identity else shift,
     )

@@ -102,6 +102,7 @@ __all__ = [
     "VECTOR_BLOCK_ROWS",
     "VectorizedRowExecutor",
     "relabel_scan_order",
+    "scan_order_ids",
     "split_tuples",
     "unique_rows",
 ]
@@ -511,24 +512,16 @@ class BuildContext:
 # ----------------------------------------------------------------------
 # Deterministic chunk merging
 # ----------------------------------------------------------------------
-def relabel_scan_order(
-    rows: np.ndarray,
-    table: list[tuple[int, ...]],
-    flip: bool = False,
-) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+def scan_order_ids(
+    rows: np.ndarray, flip: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
     """Renumber a chunk's local ids by first occurrence in scan order.
 
     ``rows`` is the chunk's ``(num_rows, row_width)`` id grid in row-index
     order; ``flip`` selects the quadrant scan order (descending rows,
     descending columns) over the dynamic one (ascending, ascending).
-    Returns the relabeled grid plus the table restricted to the ids the
-    grid actually uses, ordered by that first occurrence — seed-row-only
-    entries are dropped, so merged stores keep the audit invariant that
-    every table entry is referenced.
-
-    Interning the returned tables chunk-by-chunk in global scan order
-    reproduces the serial engine's table exactly: the serial intern order
-    *is* first occurrence in scan order.
+    Returns the relabeled grid plus the old ids it uses, ordered by that
+    first occurrence (new id ``k`` is old id ``ids[k]``).
     """
     flat = (rows[::-1, ::-1] if flip else rows).reshape(-1)
     used, first, inverse = np.unique(
@@ -540,8 +533,27 @@ def relabel_scan_order(
     relabeled = rank[inverse].reshape(rows.shape)
     if flip:
         relabeled = relabeled[::-1, ::-1]
-    ordered_table = [table[int(used[k])] for k in order.tolist()]
-    return np.ascontiguousarray(relabeled), ordered_table
+    return np.ascontiguousarray(relabeled), used[order]
+
+
+def relabel_scan_order(
+    rows: np.ndarray,
+    table: list[tuple[int, ...]],
+    flip: bool = False,
+) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """:func:`scan_order_ids` with the table restricted to match.
+
+    Returns the relabeled grid plus the table restricted to the ids the
+    grid actually uses, ordered by first occurrence — seed-row-only
+    entries are dropped, so merged stores keep the audit invariant that
+    every table entry is referenced.
+
+    Interning the returned tables chunk-by-chunk in global scan order
+    reproduces the serial engine's table exactly: the serial intern order
+    *is* first occurrence in scan order.
+    """
+    relabeled, ids = scan_order_ids(rows, flip)
+    return relabeled, [table[i] for i in ids.tolist()]
 
 
 def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -52,16 +52,18 @@ the globally minimal rank, so only columns left of the rightmost new
 corner change, their new parent link is ``min(old link, nearest new
 corner to the right)``, and everything else is inherited — all of which
 is a handful of ``searchsorted``/``minimum`` array ops per row
-(:func:`_quadrant_vectorized`).  Interning then vanishes from the build
+(:class:`_StaircaseScan`).  Interning then vanishes from the build
 entirely: every emitted node is provably distinct (each contains a
-corner group introduced in its own row — see :func:`_vector_finalize`),
-so node ids in scan order *are* the serial engine's intern ids, the
-forest itself becomes the result table
+corner group introduced in its own row — see
+:meth:`_StaircaseScan.finalize`), so node ids in scan order *are* the
+serial engine's intern ids, the forest itself becomes the result table
 (:class:`~repro.diagram.store.ConsForestTable`, materialized lazily),
 and the id grid materializes with one run-length ``np.repeat`` decode
-(:func:`_vector_decode`).  An optional numba JIT (:func:`_fill_runs`)
-compiles the decode; without numba the numpy fallback produces the
-identical artifact.
+(:meth:`_StaircaseScan.decode`).  An optional numba JIT
+(:func:`_fill_runs`) compiles the decode; without numba the numpy
+fallback produces the identical artifact.  Incremental maintenance
+(:mod:`repro.diagram.maintenance`) runs the same scan from a state
+seeded at the dirty boundary (:func:`_vector_seed`).
 """
 
 from __future__ import annotations
@@ -84,6 +86,8 @@ from repro.diagram.store import (
     ResultStore,
     RLEBackend,
     _multi_arange,
+    forest_csr,
+    table_csr,
 )
 from repro.errors import BudgetExceededError, DimensionalityError
 from repro.geometry.grid import Grid
@@ -382,42 +386,6 @@ def _vector_corner_rows(
     return per_row, group_tuples
 
 
-def _vector_finalize(
-    prov_rep_chunks: list[np.ndarray],
-    prov_par_chunks: list[np.ndarray],
-    group_tuples: list[tuple[int, ...]],
-) -> ConsForestTable:
-    """Assemble the emitted cons forest into the interned result table.
-
-    Node ``k`` (ids ascend in scan order: rows top-down, columns
-    right-to-left within a row) is the staircase ``group prov_rep[k]``
-    consed onto parent ``prov_par[k]`` (``-1`` is the empty staircase).
-    No deduplication pass is needed — the nodes are pairwise distinct:
-
-    * A row's rightmost new corner carries the globally minimal row rank
-      seen so far, so no later staircase member ever pops it and it is
-      visible from every changed column.  Every node therefore contains
-      a corner group introduced in its own row.
-    * Point ids partition across corner groups, so a node can never
-      equal one emitted in an earlier row (whose members all predate
-      this row's groups).
-    * Within a row, each changed column's staircase leads with the group
-      *at* that column, which no staircase further right contains.
-
-    Table id ``k + 1`` is therefore exactly the serial engine's intern
-    id (the empty result is pre-seeded as id 0), and the table itself
-    is the forest, materialized lazily by :class:`ConsForestTable`.
-    """
-    if not prov_rep_chunks:
-        empty = np.empty(0, dtype=np.int64)
-        return ConsForestTable(empty, empty, group_tuples)
-    return ConsForestTable(
-        np.concatenate(prov_rep_chunks),
-        np.concatenate(prov_par_chunks),
-        group_tuples,
-    )
-
-
 if HAVE_NUMBA:  # pragma: no cover - exercised only where numba exists
 
     @_njit(cache=True)
@@ -444,25 +412,6 @@ def _fill_runs(values: list[int], counts: list[int], total: int) -> np.ndarray:
         _fill_runs_jit(vals, lens, out)
         return out
     return np.repeat(vals, lens)
-
-
-def _vector_decode(
-    run_vals: list[np.ndarray],
-    run_cnts: list[np.ndarray],
-    nrows: int,
-    sx: int,
-) -> np.ndarray:
-    """Materialize the scanned rows as a dense ``(nrows, sx)`` final-id grid.
-
-    ``run_vals``/``run_cnts`` hold one run-length row per scanned row in
-    scan order (top row first), with cons-forest node values (``-1`` the
-    empty result).  Final ids are node ids shifted by one, so the whole
-    grid decodes with one add and one ``np.repeat``, returned with row
-    indices ascending.
-    """
-    vals = np.concatenate(run_vals) + 1
-    cnts = np.concatenate(run_cnts)
-    return _fill_runs(vals, cnts, nrows * sx).reshape(nrows, sx)[::-1]
 
 
 def _emit_state_events(
@@ -539,6 +488,269 @@ def _events_to_rle(
     return packed._dedup_rows()
 
 
+def _vector_seed(
+    per_row: list, hi: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Active-column arrays entering row ``hi - 1``, from the dataset alone.
+
+    The vectorized counterpart of :func:`_seed_state`: after the rows
+    ``>= hi`` every column holding a corner there is active, showing its
+    lowest group, and links to the nearest column to its right whose
+    group lies strictly lower (a previous-smaller-element sweep).
+    Returns ``(cols, rep, pse)``; the caller supplies the nodes.
+    """
+    found = [per_row[j] for j in range(hi, len(per_row)) if per_row[j]]
+    if not found:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty
+    cols = np.concatenate([c for c, _ in found])
+    groups = np.concatenate([g for _, g in found])
+    # Group ids ascend with the row, so each column's lowest group is its
+    # smallest id.
+    order = np.lexsort((groups, cols))
+    cols, groups = cols[order], groups[order]
+    keep = np.empty(cols.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(cols[1:], cols[:-1], out=keep[1:])
+    cols, groups = cols[keep], groups[keep]
+    pse = [_PSE_NONE] * cols.size
+    stack: list[int] = []
+    col_list = cols.tolist()
+    group_list = groups.tolist()
+    for i in range(cols.size - 1, -1, -1):
+        while stack and group_list[stack[-1]] >= group_list[i]:
+            stack.pop()
+        if stack:
+            pse[i] = col_list[stack[-1]]
+        stack.append(i)
+    return cols, groups, np.asarray(pse, dtype=np.int64)
+
+
+class _StaircaseScan:
+    """The vectorized engine: staircase state as arrays, one row at a time.
+
+    Maintains the structure of the module docstring as parallel arrays
+    over the active columns — ``cols`` ascending, ``rep`` the visible
+    group per column, ``pse`` the column of the nearest smaller-rank
+    staircase member to the right (:data:`_PSE_NONE` when none),
+    ``node`` the provisional cons node — and updates all of them with a
+    handful of array ops per row: corners entering a row carry the
+    minimal rank, so they reset their column's link, every active column
+    left of the rightmost corner re-links to ``min(old link, nearest new
+    corner)``, and columns to the right are untouched.  Each changed
+    column emits one node; rows emit their run-length encoding for the
+    final decode (or, with ``native_rle``, change events).
+
+    A node value ``v`` is table id ``v + 1``.  A full build starts empty
+    with ``next_id = 0`` (``-1`` is the empty result, id 0).  Incremental
+    maintenance starts from a seeded state (:func:`_vector_seed`) whose
+    nodes are the clean boundary row's ids minus one, with ``next_id``
+    one below the clean table's size, so new nodes number on after the
+    clean results.  Either way every emitted node is a result no earlier
+    id holds (see :meth:`finalize`), which is why node ids in emission
+    order *are* the serial engine's intern ids.
+    """
+
+    def __init__(
+        self,
+        sx: int,
+        per_row: list,
+        groups: list[tuple[int, ...]],
+        state: tuple | None = None,
+        next_id: int = 0,
+        native_rle: bool = False,
+    ) -> None:
+        self.sx = sx
+        self.per_row = per_row
+        self.groups = groups
+        if state is None:
+            empty = np.empty(0, dtype=np.int64)
+            state = (empty, empty, empty, empty)
+        self.cols, self.rep, self.pse, self.node = state
+        self.first = self.next_id = next_id
+        self.native_rle = native_rle
+        self.prov_rep: list[np.ndarray] = []
+        self.prov_par: list[np.ndarray] = []
+        self.run_vals: list[np.ndarray] = []
+        self.run_cnts: list[np.ndarray] = []
+        self.events: tuple[list, list, list, list] = ([], [], [], [])
+        self._edges = (
+            np.asarray([-1], dtype=np.int64),
+            np.asarray([sx - 1], dtype=np.int64),
+        )
+
+    def row(self, j: int) -> None:
+        """Advance the state through row ``j`` and emit it."""
+        sent = _PSE_NONE
+        corners = self.per_row[j]
+        act_cols, act_node = self.cols, self.node
+        if self.native_rle and corners is not None and j + 1 < len(
+            self.per_row
+        ):
+            _emit_state_events(
+                act_cols, act_node, int(corners[0][-1]), j + 1, self.events
+            )
+        if corners is not None:
+            act_rep, act_pse = self.rep, self.pse
+            ccols, cg = corners
+            m0 = act_cols.size
+            if m0:
+                pos = np.searchsorted(act_cols, ccols)
+                exist = act_cols[np.minimum(pos, m0 - 1)] == ccols
+                if exist.any():
+                    act_rep[pos[exist]] = cg[exist]
+                new = ~exist
+                if new.any():
+                    # One insertion layout shared by the four arrays.
+                    at = pos[new] + np.arange(int(new.sum()))
+                    keep = np.ones(m0 + at.size, dtype=bool)
+                    keep[at] = False
+                    grown = []
+                    for arr, fill in (
+                        (act_cols, ccols[new]),
+                        (act_rep, cg[new]),
+                        (act_pse, sent),
+                        (act_node, -1),
+                    ):
+                        out = np.empty(keep.size, dtype=np.int64)
+                        out[keep] = arr
+                        out[at] = fill
+                        grown.append(out)
+                    act_cols, act_rep, act_pse, act_node = grown
+            else:
+                act_cols = ccols.copy()
+                act_rep = cg.copy()
+                act_pse = np.full(ccols.size, sent, dtype=np.int64)
+                act_node = np.full(ccols.size, -1, dtype=np.int64)
+            nchanged = int(np.searchsorted(act_cols, ccols[-1], side="right"))
+            cpos = np.searchsorted(act_cols, ccols)
+            nidx = np.searchsorted(ccols, act_cols[:nchanged], side="right")
+            nsc = np.where(
+                nidx < ccols.size,
+                ccols[np.minimum(nidx, ccols.size - 1)],
+                sent,
+            )
+            pse = np.minimum(act_pse[:nchanged], nsc)
+            pse[cpos] = sent
+            act_pse[:nchanged] = pse
+            next_id = self.next_id
+            act_node[:nchanged] = np.arange(
+                next_id + nchanged - 1, next_id - 1, -1, dtype=np.int64
+            )
+            ppos = np.minimum(np.searchsorted(act_cols, pse), act_cols.size - 1)
+            pnode = np.where(pse != sent, act_node[ppos], -1)
+            self.prov_rep.append(act_rep[nchanged - 1 :: -1].copy())
+            self.prov_par.append(pnode[::-1].copy())
+            self.next_id = next_id + nchanged
+            self.cols, self.rep, self.pse = act_cols, act_rep, act_pse
+            self.node = act_node
+        if not self.native_rle:
+            left, right = self._edges
+            self.run_vals.append(np.append(act_node, np.int64(-1)))
+            self.run_cnts.append(
+                np.diff(np.concatenate((left, act_cols, right)))
+            )
+
+    def scan(self, ctx: BuildContext, hi: int, partial) -> None:
+        """Scan rows ``hi - 1`` down to 0 in budget-checkpointed blocks.
+
+        The checkpoint fires once per row block (``chunk_rows`` rows,
+        default :data:`~repro.diagram.pipeline.VECTOR_BLOCK_ROWS`) with
+        ``advance = rows * sx``, so cooperative cancellation and the
+        fault-injection hook keep working at block granularity;
+        ``distinct`` is the exact table size so far.  On exhaustion
+        ``partial(lo)`` builds the exact
+        :class:`~repro.resilience.PartialDiagram` over the rows from
+        ``lo`` up.
+        """
+        sx = self.sx
+        for lo, top in ctx.row_chunks(hi, topmost_first=True):
+            for j in range(top - 1, lo - 1, -1):
+                self.row(j)
+            ctx.count_rows(top - lo)
+            try:
+                ctx.checkpoint(
+                    advance=(top - lo) * sx, distinct=self.next_id + 1
+                )
+            except BudgetExceededError as exc:
+                if exc.partial is None:
+                    exc.partial = partial(lo)
+                raise
+
+    def decode(self, nrows: int) -> np.ndarray:
+        """The ``nrows`` scanned rows as dense table ids, rows ascending.
+
+        Each run-length row holds node values (``-1`` the empty result);
+        table ids are node values plus one, so the whole block decodes
+        with one add and one ``np.repeat``.
+        """
+        if not nrows:
+            return np.empty((0, self.sx), dtype=np.int32)
+        vals = np.concatenate(self.run_vals) + 1
+        cnts = np.concatenate(self.run_cnts)
+        return _fill_runs(vals, cnts, nrows * self.sx).reshape(
+            nrows, self.sx
+        )[::-1]
+
+    def _nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The emitted forest as ``(rep, par)``, parents as node indices.
+
+        A node's parent is a node of its own row (the staircase member
+        at its link column, which the row just re-emitted) or the empty
+        result (``-1``), never a seeded node — so the new nodes form a
+        cons forest of their own.
+        """
+        if not self.prov_rep:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty
+        par = np.concatenate(self.prov_par)
+        if self.first:
+            par = np.where(par < 0, -1, par - self.first)
+        return np.concatenate(self.prov_rep), par
+
+    def finalize(self) -> ConsForestTable:
+        """The emitted cons forest of a full build, as the result table.
+
+        No deduplication pass is needed — the nodes are pairwise
+        distinct:
+
+        * A row's rightmost new corner carries the globally minimal row
+          rank seen so far, so no later staircase member ever pops it
+          and it is visible from every changed column.  Every node
+          therefore contains a corner group introduced in its own row.
+        * Point ids partition across corner groups, so a node can never
+          equal one emitted in an earlier row (whose members all predate
+          this row's groups) — nor a seeded clean result, all of whose
+          members lie above the seed row.
+        * Within a row, each changed column's staircase leads with the
+          group *at* that column, which no staircase further right
+          contains.
+
+        Table id ``k + 1`` is therefore exactly the serial engine's
+        intern id (the empty result is pre-seeded as id 0), and the
+        table itself is the forest, materialized lazily by
+        :class:`ConsForestTable`.
+        """
+        rep, par = self._nodes()
+        return ConsForestTable(rep, par, self.groups)
+
+    def csr(
+        self, base_sizes: np.ndarray, base_points: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """CSR of a base table followed by the nodes emitted so far.
+
+        The base holds the table ids below the first node's (a seeded
+        scan's clean results, or the empty result alone); node ids
+        continue after it (see :meth:`finalize` for why each node is a
+        new result).
+        """
+        sizes, points = forest_csr(*self._nodes(), *table_csr(self.groups))
+        return (
+            np.concatenate((base_sizes, sizes)),
+            np.concatenate((base_points, points)),
+        )
+
+
 def _quadrant_vectorized(
     ctx: BuildContext,
     grid: Grid,
@@ -546,150 +758,44 @@ def _quadrant_vectorized(
 ) -> SkylineDiagram:
     """The ``executor="vectorized"`` build path of :func:`quadrant_scanning`.
 
-    Maintains the staircase structure of the module docstring as parallel
-    arrays over the active columns — ``act_rep`` the visible group per
-    column, ``act_pse`` the column of the nearest smaller-rank staircase
-    member to the right (:data:`_PSE_NONE` when none), ``act_node`` the
-    provisional cons node — and updates all of them with a handful of
-    array ops per row: corners entering a row carry the minimal rank, so
-    they reset their column's link, every active column left of the
-    rightmost corner re-links to ``min(old link, nearest new corner)``,
-    and columns to the right are untouched.  Each changed column emits
-    one provisional node; rows emit their run-length encoding for the
-    final decode.
-
-    The budget checkpoint fires once per row block (``chunk_rows`` rows,
-    default :data:`~repro.diagram.pipeline.VECTOR_BLOCK_ROWS`) with
-    ``advance = rows * sx``, so cooperative cancellation and the
-    fault-injection hook keep working at block granularity; ``distinct``
-    reports the emitted node count plus the empty result — the exact
-    table size, since every node is a distinct interned result.  On
-    exhaustion the completed row suffix is finalized into an
+    Runs :class:`_StaircaseScan` from the empty state over every row.
+    On budget exhaustion the completed row suffix is finalized into an
     exact :class:`~repro.resilience.PartialDiagram`, same as the serial
     path.
     """
     sx, sy = grid.shape
     native_rle = ctx.options.backend == "rle"
-    events: tuple[list, list, list, list] = ([], [], [], [])
     with ctx.phase("rank_space"):
         per_row, group_tuples = _vector_corner_rows(row_corners)
-    sent = _PSE_NONE
-    act_cols = np.empty(0, dtype=np.int64)
-    act_rep = np.empty(0, dtype=np.int64)
-    act_pse = np.empty(0, dtype=np.int64)
-    act_node = np.empty(0, dtype=np.int64)
-    next_id = 0
-    prov_rep_chunks: list[np.ndarray] = []
-    prov_par_chunks: list[np.ndarray] = []
-    run_vals: list[np.ndarray] = []
-    run_cnts: list[np.ndarray] = []
-    left_edge = np.asarray([-1], dtype=np.int64)
-    right_edge = np.asarray([sx - 1], dtype=np.int64)
-    rows_done = 0
-    with ctx.phase("row_scan"):
-        for lo, hi in ctx.row_chunks(sy, topmost_first=True):
-            for j in range(hi - 1, lo - 1, -1):
-                corners = per_row[j]
-                if native_rle and corners is not None and j + 1 < sy:
-                    _emit_state_events(
-                        act_cols, act_node, int(corners[0][-1]), j + 1, events
-                    )
-                if corners is not None:
-                    ccols, cg = corners
-                    m0 = act_cols.size
-                    if m0:
-                        pos = np.searchsorted(act_cols, ccols)
-                        exist = (
-                            act_cols[np.minimum(pos, m0 - 1)] == ccols
-                        )
-                        if exist.any():
-                            act_rep[pos[exist]] = cg[exist]
-                        new = ~exist
-                        if new.any():
-                            ins = pos[new]
-                            act_cols = np.insert(act_cols, ins, ccols[new])
-                            act_rep = np.insert(act_rep, ins, cg[new])
-                            act_pse = np.insert(act_pse, ins, sent)
-                            act_node = np.insert(act_node, ins, -1)
-                    else:
-                        act_cols = ccols.copy()
-                        act_rep = cg.copy()
-                        act_pse = np.full(ccols.size, sent, dtype=np.int64)
-                        act_node = np.full(ccols.size, -1, dtype=np.int64)
-                    nchanged = int(
-                        np.searchsorted(act_cols, ccols[-1], side="right")
-                    )
-                    cpos = np.searchsorted(act_cols, ccols)
-                    nidx = np.searchsorted(
-                        ccols, act_cols[:nchanged], side="right"
-                    )
-                    nsc = np.where(
-                        nidx < ccols.size,
-                        ccols[np.minimum(nidx, ccols.size - 1)],
-                        sent,
-                    )
-                    pse = np.minimum(act_pse[:nchanged], nsc)
-                    pse[cpos] = sent
-                    act_pse[:nchanged] = pse
-                    act_node[:nchanged] = np.arange(
-                        next_id + nchanged - 1,
-                        next_id - 1,
-                        -1,
-                        dtype=np.int64,
-                    )
-                    ppos = np.minimum(
-                        np.searchsorted(act_cols, pse), act_cols.size - 1
-                    )
-                    pnode = np.where(pse != sent, act_node[ppos], -1)
-                    prov_rep_chunks.append(act_rep[nchanged - 1 :: -1].copy())
-                    prov_par_chunks.append(pnode[::-1].copy())
-                    next_id += nchanged
-                if not native_rle:
-                    run_vals.append(np.append(act_node, np.int64(-1)))
-                    run_cnts.append(
-                        np.diff(
-                            np.concatenate((left_edge, act_cols, right_edge))
-                        )
-                    )
-            rows_done = sy - lo
-            ctx.count_rows(hi - lo)
-            try:
-                ctx.checkpoint(advance=(hi - lo) * sx, distinct=next_id + 1)
-            except BudgetExceededError as exc:
-                if exc.partial is None:
-                    table = _vector_finalize(
-                        prov_rep_chunks, prov_par_chunks, group_tuples
-                    )
-                    if native_rle:
-                        _emit_state_events(
-                            act_cols, act_node, sx - 1, lo, events
-                        )
-                        packed = _events_to_rle(events, sx, sy - lo, y0=lo)
-                        dense = np.ascontiguousarray(packed.to_dense().T)
-                    else:
-                        dense = _vector_decode(
-                            run_vals, run_cnts, rows_done, sx
-                        )
-                    exc.partial = PartialDiagram(
-                        grid,
-                        {jj: dense[jj - lo] for jj in range(lo, sy)},
-                        table,
-                        boundary_exact=True,
-                    )
-                raise
-    with ctx.phase("intern"):
-        table = _vector_finalize(
-            prov_rep_chunks, prov_par_chunks, group_tuples
+    scan = _StaircaseScan(sx, per_row, group_tuples, native_rle=native_rle)
+
+    def partial(lo: int) -> PartialDiagram:
+        if native_rle:
+            _emit_state_events(scan.cols, scan.node, sx - 1, lo, scan.events)
+            packed = _events_to_rle(scan.events, sx, sy - lo, y0=lo)
+            dense = np.ascontiguousarray(packed.to_dense().T)
+        else:
+            dense = scan.decode(sy - lo)
+        return PartialDiagram(
+            grid,
+            {jj: dense[jj - lo] for jj in range(lo, sy)},
+            scan.finalize(),
+            boundary_exact=True,
         )
+
+    with ctx.phase("row_scan"):
+        scan.scan(ctx, sy, partial)
+    with ctx.phase("intern"):
+        table = scan.finalize()
         ctx.checkpoint(distinct=len(table))
     with ctx.phase("assemble"):
         if native_rle:
-            _emit_state_events(act_cols, act_node, sx - 1, 0, events)
+            _emit_state_events(scan.cols, scan.node, sx - 1, 0, scan.events)
             store = ResultStore(
-                (sx, sy), _events_to_rle(events, sx, sy), table
+                (sx, sy), _events_to_rle(scan.events, sx, sy), table
             )
         else:
-            rows = _vector_decode(run_vals, run_cnts, sy, sx)
+            rows = scan.decode(sy)
             store = ResultStore(
                 (sx, sy),
                 np.ascontiguousarray(rows.T.astype(np.int32, copy=False)),

@@ -42,7 +42,7 @@ from __future__ import annotations
 import hashlib
 from bisect import insort
 from collections.abc import Mapping, Sequence
-from itertools import product
+from itertools import chain, product
 from typing import Iterator
 
 import numpy as np
@@ -53,7 +53,33 @@ Cell = tuple[int, ...]
 Result = tuple[int, ...]
 
 
-class ConsForestTable:
+class _LazyTable:
+    """Shared read paths of the lazily materialized table backings.
+
+    Subclasses keep a per-id tuple cache in ``_cache`` (``None`` until
+    the first read) and build missing entries in :meth:`result`.
+    """
+
+    __slots__ = ()
+    _cache: list[Result | None] | None
+
+    def result(self, rid: int) -> Result:
+        raise NotImplementedError
+
+    def __getitem__(self, rid: int) -> Result:
+        return self.result(int(rid))
+
+    def lookup(self, ids: list[int]) -> list[Result]:
+        """Results of many ids; a warm cache answers at list speed."""
+        cache = self._cache
+        if cache is not None:
+            out = list(map(cache.__getitem__, ids))
+            if None not in out:
+                return out
+        return list(map(self.result, ids))
+
+
+class ConsForestTable(_LazyTable):
     """An interned result table stored as a cons forest, materialized lazily.
 
     Node ``rid >= 1`` holds the result of corner group ``rep[rid - 1]``
@@ -115,9 +141,6 @@ class ConsForestTable:
             cache[node] = tuple(merged)
         return cache[rid]
 
-    def __getitem__(self, rid: int) -> Result:
-        return self.result(int(rid))
-
     def materialize(self) -> list[Result]:
         """The full table as a plain list, built in one forward pass."""
         groups = self._groups
@@ -136,7 +159,7 @@ class ConsForestTable:
         return table
 
 
-class PackedTable:
+class PackedTable(_LazyTable):
     """An interned result table stored as packed (CSR) index arrays.
 
     ``values[offsets[rid]:offsets[rid + 1]]`` holds the sorted point ids
@@ -145,7 +168,9 @@ class PackedTable:
     save envelope, so N serving workers share one physical copy of the
     table.  Tuples are built lazily per id (and cached), exactly like
     :class:`ConsForestTable`; ``store.table`` access upgrades to a plain
-    list via :meth:`materialize`.
+    list via :meth:`materialize`.  Incremental maintenance emits this
+    backing too: it builds the updated table as CSR arrays, so renumbering
+    point ids is one array op and no tuple is built until a lookup.
     """
 
     __slots__ = ("_offsets", "_values", "_cache")
@@ -172,9 +197,6 @@ class PackedTable:
         cache[rid] = tup
         return tup
 
-    def __getitem__(self, rid: int) -> Result:
-        return self.result(int(rid))
-
     def materialize(self) -> list[Result]:
         """The full table as a plain list, in one pass over the arrays."""
         offsets = self._offsets.tolist()
@@ -190,19 +212,148 @@ BACKENDS = ("dense", "rle", "quad")
 
 
 def _table_nbytes(
-    table: "list[Result] | ConsForestTable | PackedTable",
+    table: "Sequence[Result] | ConsForestTable | PackedTable",
 ) -> int:
     """Approximate resident bytes of an interned table backing.
 
     Lazy backings report their array footprint without materializing;
-    plain lists use the CPython tuple-of-ints size formula.
+    plain lists use the CPython tuple-of-ints size formula
+    ``56 * entries + 8 * points``.
     """
     if isinstance(table, PackedTable):
         return int(table._offsets.nbytes + table._values.nbytes)
     if isinstance(table, ConsForestTable):
-        groups = sum(56 + 8 * len(g) for g in table._groups)
+        groups = _table_nbytes(table._groups)
         return int(table._rep.nbytes + table._par.nbytes + groups)
-    return sum(56 + 8 * len(t) for t in table)
+    return 56 * len(table) + 8 * sum(map(len, table))
+
+
+def _starts(sizes: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sums: where each CSR entry starts."""
+    out = np.zeros(sizes.size, dtype=np.int64)
+    np.cumsum(sizes[:-1], out=out[1:])
+    return out
+
+
+def _list_csr(entries: Sequence[Result]) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(sizes, points)`` of result tuples, read entry by entry."""
+    sizes = np.fromiter(map(len, entries), dtype=np.int64, count=len(entries))
+    points = np.fromiter(
+        chain.from_iterable(entries), dtype=np.int64, count=int(sizes.sum())
+    )
+    return sizes, points
+
+
+def forest_csr(
+    rep: np.ndarray,
+    par: np.ndarray,
+    group_sizes: np.ndarray,
+    group_points: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """CSR of the nodes of a cons forest (:class:`ConsForestTable`).
+
+    Node ``k`` holds corner group ``rep[k]`` merged into node
+    ``par[k] < k`` (``-1``: the empty result); ``group_sizes`` and
+    ``group_points`` are the groups' CSR arrays.  Returns ``(sizes,
+    points)`` of the nodes, int64, each node's point ids sorted — with
+    no tuple built.  Chain sums come from pointer jumping (``log`` of
+    the deepest chain in array passes); points are then written one
+    depth level at a time, every node merging its group into its
+    finished parent's sorted points.
+    """
+    rep = np.asarray(rep, dtype=np.int64)
+    if rep.size == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    par = np.asarray(par, dtype=np.int64)
+    own = group_sizes[rep]
+    link = par.copy()
+    sizes = own.copy()
+    depth = np.ones(rep.size, dtype=np.int64)
+    live = np.nonzero(link >= 0)[0]
+    while live.size:
+        up = link[live]
+        sizes[live] += sizes[up]
+        depth[live] += depth[up]
+        link[live] = link[up]
+        live = live[link[live] >= 0]
+    offsets = _starts(sizes)
+    points = np.empty(int(sizes.sum()), dtype=np.int64)
+    first = _starts(group_sizes)[rep]
+    lead = group_points[first]
+    # Small keys take numpy's radix sort.
+    order = np.argsort(
+        depth.astype(np.uint16) if depth.max() < 1 << 16 else depth,
+        kind="stable",
+    )
+    bounds = np.cumsum(np.bincount(depth))
+    for d in range(1, bounds.size):
+        level = order[bounds[d - 1] : bounds[d]]
+        width = own[level]
+        lens = sizes[level] - width
+        at = offsets[level]
+        # Slot j of every node, and the parent point that fills it
+        # (depth-1 nodes have no parent points).
+        slot = _multi_arange(at, lens)
+        node = np.repeat(np.arange(level.size), lens)
+        if d > 1:
+            src = points[slot + (offsets[par[level]] - at)[node]]
+        else:
+            src = slot
+        # The parent's points are sorted: a one-point group is merged by
+        # moving the points above it one slot up.
+        after = src > lead[level][node]
+        many = width > 1
+        if many.any():  # duplicate-point groups go first, sorted below
+            after = np.where(many[node], width[node], after)
+        points[slot + after] = src
+        above = np.zeros(after.size + 1, dtype=np.int64)
+        np.cumsum(after, out=above[1:])
+        ends = np.cumsum(lens)
+        below = lens - (above[ends] - above[ends - lens])
+        one = ~many
+        points[at[one] + below[one]] = lead[level[one]]
+        if many.any():
+            nodes = level[many]
+            points[_multi_arange(at[many], width[many])] = group_points[
+                _multi_arange(first[nodes], width[many])
+            ]
+            # Sort within these entries: one sort of (entry, point) keys.
+            idx = _multi_arange(at[many], sizes[nodes])
+            span = int(points[idx].max()) + 1
+            key = np.repeat(
+                np.arange(nodes.size, dtype=np.int64) * span, sizes[nodes]
+            )
+            points[idx] = np.sort(points[idx] + key) - key
+    return sizes, points
+
+
+def table_csr(
+    table: "Sequence[Result] | ConsForestTable | PackedTable",
+) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(sizes, points)`` int64 arrays of any interned table backing.
+
+    ``points[sum(sizes[:r]):][:sizes[r]]`` are the point ids of entry
+    ``r``.  A :class:`PackedTable` is read straight from its arrays and a
+    :class:`ConsForestTable` is unrolled by :func:`forest_csr` (entries
+    sorted), neither building a tuple; a list is read entry by entry.
+    """
+    if type(table) is PackedTable:
+        offsets = np.asarray(table._offsets, dtype=np.int64)
+        points = table._values[int(offsets[0]) : int(offsets[-1])]
+        return np.diff(offsets), np.asarray(points, dtype=np.int64)
+    if type(table) is ConsForestTable:
+        sizes, points = forest_csr(
+            table._rep, table._par, *_list_csr(table._groups)
+        )
+        return np.concatenate(([0], sizes)), points
+    return _list_csr(table)
+
+
+def packed_table(sizes: np.ndarray, points: np.ndarray) -> PackedTable:
+    """A :class:`PackedTable` over CSR ``(sizes, points)`` arrays."""
+    offsets = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    return PackedTable(offsets, points)
 
 
 def _multi_arange(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -1156,8 +1307,7 @@ class ResultStore:
         ids = self._backend.lookup_batch_ids(cells)
         table = self._table
         if type(table) is not list:
-            result = table.result
-            return [result(i) for i in ids.tolist()]
+            return table.lookup(ids.tolist())
         return [table[i] for i in ids.tolist()]
 
     def union_at_corners(
@@ -1197,15 +1347,22 @@ class ResultStore:
         Recorded when a diagram is attached to the serving engine and
         re-checked by :meth:`audit`-driven health sweeps: any in-memory
         mutation of the id grid or the table — including single-bit flips
-        that stay structurally valid — changes the digest.  Computed over
-        :meth:`table_view`, so fingerprinting a lazily interned store
-        never upgrades it and the digest is identical before and after
-        materialization.
+        that stay structurally valid — changes the digest.  The table is
+        hashed as CSR arrays (:func:`table_csr`): the entry count, the
+        entry lengths and the concatenated point ids, all int64.  List,
+        :class:`ConsForestTable` and :class:`PackedTable` backings of the
+        same content hash alike, and a lazy backing is read without
+        building tuples or upgrading it.
         """
+        return self._digest(*table_csr(self._table))
+
+    def _digest(self, sizes: np.ndarray, points: np.ndarray) -> str:
         digest = hashlib.sha256()
         digest.update(repr(self.shape).encode())
         self._backend.fingerprint_section(digest)
-        digest.update(repr(self.table_view()).encode())
+        digest.update(np.int64(sizes.size).tobytes())
+        digest.update(np.ascontiguousarray(sizes, dtype=np.int64))
+        digest.update(np.ascontiguousarray(points, dtype=np.int64))
         return digest.hexdigest()
 
     def audit(self, num_points: int | None = None) -> str:
@@ -1215,9 +1372,9 @@ class ResultStore:
         id-grid shape/range, canonical (sorted, deduplicated) table
         entries, id range against ``num_points`` when given, duplicate
         interned entries, a stale ``_intern`` acceleration map, and
-        unreferenced table slots.  Reads the table through
-        :meth:`table_view`, so auditing a lazily interned store leaves it
-        lazy.
+        unreferenced table slots.  Reads the table once through
+        :meth:`table_view` — so auditing a lazily interned store leaves
+        it lazy — and hashes the entries it checked.
         """
         if self._backend.shape != self.shape:
             raise AuditError(
@@ -1262,7 +1419,7 @@ class ResultStore:
             if not referenced.all():
                 missing = int(np.nonzero(~referenced)[0][0])
                 raise AuditError(f"table[{missing}] is never referenced")
-        return self.fingerprint()
+        return self._digest(*_list_csr(entries))
 
     # ------------------------------------------------------------------
     # Views

@@ -62,6 +62,7 @@ from repro.diagram.store import (
     QuadBackend,
     ResultStore,
     RLEBackend,
+    table_csr,
 )
 from repro.errors import SerializationError
 from repro.geometry.grid import Grid
@@ -325,16 +326,10 @@ def _min_uint_dtype(max_value: int) -> np.dtype:
 
 
 def _packed_arrays(
-    entries, id_dtype: np.dtype
+    table, id_dtype: np.dtype
 ) -> tuple[np.ndarray, np.ndarray]:
-    """CSR ``(lengths, values)`` arrays of a sequence of result tuples."""
-    lengths = np.fromiter(
-        (len(t) for t in entries), dtype=np.int64, count=len(entries)
-    )
-    total = int(lengths.sum())
-    values = np.fromiter(
-        (pid for t in entries for pid in t), dtype=np.int64, count=total
-    )
+    """CSR ``(lengths, values)`` arrays of a table (see ``table_csr``)."""
+    lengths, values = table_csr(table)
     max_len = int(lengths.max()) if lengths.size else 0
     return lengths.astype(_min_uint_dtype(max_len)), values.astype(id_dtype)
 
@@ -444,8 +439,7 @@ def diagram_to_binary_bytes(
         ]
     else:
         meta["table"] = "packed"
-        entries = store.table_view()
-        lengths, values = _packed_arrays(entries, pid_dtype)
+        lengths, values = _packed_arrays(table, pid_dtype)
         sections += [
             ("table_lengths", lengths),
             ("table_values", values),

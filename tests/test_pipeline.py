@@ -9,6 +9,7 @@ that order, and the parent merges chunk tables through one shared
 interner in global scan order, which reproduces the serial numbering.
 """
 
+import hashlib
 import importlib
 import json
 import warnings
@@ -442,9 +443,23 @@ def _perfbench_anticorrelated(n: int, seed: int) -> list[tuple]:
     return [tuple(map(float, row)) for row in np.clip(coords, 0.0, 1.0)]
 
 
-#: Global-diagram store fingerprints recorded with the tuple-merging
-#: union (one heap merge and intern per id combination) that the array
-#: kernel replaced: ids, table order and contents must not move.
+def _repr_digest(store):
+    """The store digest as first recorded: the table hashed as its repr.
+
+    ``ResultStore.fingerprint`` now hashes the table's CSR arrays; the
+    goldens below were recorded with this formula and are kept verbatim.
+    """
+    digest = hashlib.sha256()
+    digest.update(repr(store.shape).encode())
+    store.backend.fingerprint_section(digest)
+    digest.update(repr(store.table_view()).encode())
+    return digest.hexdigest()
+
+
+#: Global-diagram store digests (:func:`_repr_digest`) recorded with the
+#: tuple-merging union (one heap merge and intern per id combination)
+#: that the array kernel replaced: ids, table order and contents must
+#: not move.
 GLOBAL_GOLDEN = {
     "random0": "e17bd0fa58d252b7afce39fdf57c574c2168b98648cc9e4f33e1e573218cc0ca",
     "random1": "4c54610455b81556f11e946d6fc69f9418843b51c4af858692b590e3884e8818",
@@ -469,7 +484,7 @@ class TestGlobalUnion:
         diagram = global_diagram(
             points, build_options=BuildOptions(executor=executor)
         )
-        assert diagram.store.fingerprint() == GLOBAL_GOLDEN[name]
+        assert _repr_digest(diagram.store) == GLOBAL_GOLDEN[name]
         assert diagram.build_report.executor == executor
 
     @pytest.mark.parametrize("executor", ["serial", "vectorized"])
@@ -478,14 +493,14 @@ class TestGlobalUnion:
         diagram = global_diagram(
             points, build_options=BuildOptions(executor=executor)
         )
-        assert diagram.store.fingerprint() == (
+        assert _repr_digest(diagram.store) == (
             "eb062b0711e7f1d21c13646ecde54be627f0e08079900cff81956205a7ec0019"
         )
 
     def test_golden_fingerprint_3d(self):
         points = generate("independent", n=10, dim=3, seed=5, domain=12)
         diagram = global_diagram(points, algorithm=quadrant_scanning_nd)
-        assert diagram.store.fingerprint() == (
+        assert _repr_digest(diagram.store) == (
             "2724ddfd62b585b12f97fd7033b75301fb2e8ba1cc79aa40e23603c4d19a4ac2"
         )
 
@@ -505,7 +520,7 @@ class TestGlobalUnion:
             diagram = global_diagram(
                 points, build_options=BuildOptions(executor="vectorized")
             )
-            assert diagram.store.fingerprint() == GLOBAL_GOLDEN[name]
+            assert _repr_digest(diagram.store) == GLOBAL_GOLDEN[name]
 
     def test_distinct_budget_trips_in_union_phase(self):
         points = DATASETS[1]

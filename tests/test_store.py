@@ -298,3 +298,107 @@ class TestLazyFingerprint:
         view = store.table_view()
         assert type(store._table) is ConsForestTable
         assert list(view) == store.table  # upgrade happens only here
+
+
+class TestCSRFingerprint:
+    """The fingerprint hashes the table as CSR arrays, for every backing."""
+
+    POINTS = [(2.0, 8.0), (5.0, 4.0), (9.0, 1.0), (5.0, 4.0), (1.0, 9.0),
+              (7.0, 6.0), (3.0, 3.0), (3.0, 3.0), (3.0, 3.0)]
+
+    def _backings(self, backend="dense"):
+        """The same content over a cons forest, a list and a packed table."""
+        from repro.diagram.pipeline import BuildOptions
+        from repro.diagram.store import (
+            ConsForestTable,
+            PackedTable,
+            packed_table,
+            table_csr,
+        )
+
+        lazy = quadrant_scanning(
+            self.POINTS,
+            build_options=BuildOptions(executor="vectorized", backend=backend),
+        ).store
+        assert type(lazy._table) is ConsForestTable
+        entries = lazy.table_view()
+        listed = ResultStore(lazy.shape, lazy.backend, list(entries))
+        packed = ResultStore(
+            lazy.shape, lazy.backend, packed_table(*table_csr(entries))
+        )
+        assert type(packed._table) is PackedTable
+        return lazy, listed, packed
+
+    @pytest.mark.parametrize("backend", ["dense", "rle"])
+    def test_equal_across_table_backings(self, backend):
+        stores = self._backings(backend)
+        digests = {store.fingerprint() for store in stores}
+        assert len(digests) == 1
+        serial = quadrant_scanning(self.POINTS).store
+        assert digests == {serial.fingerprint()}
+        assert {store.audit(len(self.POINTS)) for store in stores} == digests
+
+    def test_forest_csr_matches_materialized_tuples(self):
+        from repro.diagram.store import table_csr
+
+        lazy, listed, _ = self._backings()
+        sizes, points = table_csr(lazy._table)
+        entries = listed.table_view()
+        assert sizes.tolist() == [len(t) for t in entries]
+        assert points.tolist() == [pid for t in entries for pid in t]
+        assert points.dtype == sizes.dtype == np.int64
+
+    def test_tampering_with_one_id_changes_it(self):
+        from repro.diagram.store import ConsForestTable, PackedTable
+
+        lazy, listed, packed = self._backings()
+        digest = listed.fingerprint()
+        # List: one point id of one entry.
+        entries = list(listed.table_view())
+        rid = next(r for r, t in enumerate(entries) if t)
+        entries[rid] = (entries[rid][0] + 1,) + entries[rid][1:]
+        assert ResultStore(listed.shape, listed.backend, entries) \
+            .fingerprint() != digest
+        # Packed: one value of the CSR array.
+        values = packed._table._values.copy()
+        values[0] += 1
+        tampered = PackedTable(packed._table._offsets, values)
+        assert ResultStore(packed.shape, packed.backend, tampered) \
+            .fingerprint() != digest
+        # Forest: one point of one corner group.
+        forest = lazy._table
+        groups = list(forest._groups)
+        groups[0] = (groups[0][0] + 100,) + groups[0][1:]
+        tampered = ConsForestTable(forest._rep, forest._par, groups)
+        assert ResultStore(lazy.shape, lazy.backend, tampered) \
+            .fingerprint() != digest
+        # One cell id of the grid.
+        ids = listed.ids.copy()
+        ids[0, 0] = (ids[0, 0] + 1) % listed.distinct_count
+        assert ResultStore(listed.shape, ids, listed.table_view()) \
+            .fingerprint() != digest
+        # Moving a point between adjacent entries keeps the points array
+        # but changes the lengths.
+        ids = np.asarray([[0], [1]], dtype=np.int32)
+        assert (
+            ResultStore((2, 1), ids, [(1,), (2, 3)]).fingerprint()
+            != ResultStore((2, 1), ids, [(1, 2), (3,)]).fingerprint()
+        )
+
+    def test_lookup_batch_on_packed_table_matches_list(self):
+        lazy, listed, packed = self._backings()
+        cells = np.asarray(
+            [(i, j) for i in range(listed.shape[0])
+             for j in range(listed.shape[1])]
+        )
+        expected = listed.lookup_batch(cells)
+        assert packed.lookup_batch(cells) == expected  # cold cache
+        assert packed.lookup_batch(cells) == expected  # warm cache
+        assert lazy.lookup_batch(cells[::-1]) == expected[::-1]
+
+    def test_nbytes_of_a_list_table(self):
+        _, listed, _ = self._backings()
+        entries = listed.table_view()
+        assert listed.nbytes == listed.backend.nbytes() + sum(
+            56 + 8 * len(t) for t in entries
+        )
