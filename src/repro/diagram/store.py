@@ -43,7 +43,7 @@ import hashlib
 from bisect import insort
 from collections.abc import Mapping, Sequence
 from itertools import chain, product
-from typing import Iterator
+from typing import Iterator, cast
 
 import numpy as np
 
@@ -75,7 +75,7 @@ class _LazyTable:
         if cache is not None:
             out = list(map(cache.__getitem__, ids))
             if None not in out:
-                return out
+                return cast("list[Result]", out)
         return list(map(self.result, ids))
 
 
@@ -337,11 +337,11 @@ def table_csr(
     :class:`ConsForestTable` is unrolled by :func:`forest_csr` (entries
     sorted), neither building a tuple; a list is read entry by entry.
     """
-    if type(table) is PackedTable:
+    if isinstance(table, PackedTable):
         offsets = np.asarray(table._offsets, dtype=np.int64)
         points = table._values[int(offsets[0]) : int(offsets[-1])]
         return np.diff(offsets), np.asarray(points, dtype=np.int64)
-    if type(table) is ConsForestTable:
+    if isinstance(table, ConsForestTable):
         sizes, points = forest_csr(
             table._rep, table._par, *_list_csr(table._groups)
         )
@@ -1361,8 +1361,8 @@ class ResultStore:
         digest.update(repr(self.shape).encode())
         self._backend.fingerprint_section(digest)
         digest.update(np.int64(sizes.size).tobytes())
-        digest.update(np.ascontiguousarray(sizes, dtype=np.int64))
-        digest.update(np.ascontiguousarray(points, dtype=np.int64))
+        digest.update(np.ascontiguousarray(sizes, dtype=np.int64).data)
+        digest.update(np.ascontiguousarray(points, dtype=np.int64).data)
         return digest.hexdigest()
 
     def audit(self, num_points: int | None = None) -> str:
